@@ -184,7 +184,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             bits, geometry, method=method.strip(),
             cap_method=args.cap_method,
             rng=np.random.default_rng(args.seed),
-            n_restarts=args.restarts, n_jobs=args.jobs,
+            n_restarts=args.restarts,
             deadline_s=args.deadline,
             checkpoint_dir=args.checkpoint_dir,
             resume_from=args.resume,
@@ -592,8 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default="optimal,spiral,sawtooth,identity")
     p_optimize.add_argument("--restarts", type=int, default=1,
                             help="independent annealing chains (best wins)")
-    p_optimize.add_argument("--jobs", type=int, default=1,
-                            help="worker threads for --restarts > 1")
     p_optimize.add_argument("--deadline", type=float, default=None,
                             help="wall-clock budget [s]; returns best-so-far")
     p_optimize.add_argument("--checkpoint-dir", default=None,

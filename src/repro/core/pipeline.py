@@ -180,7 +180,6 @@ def optimize_assignment(
     rng: Optional[np.random.Generator] = None,
     extractor: Optional[CapacitanceExtractor] = None,
     n_restarts: int = 1,
-    n_jobs: int = 1,
     deadline_s: Optional[float] = None,
     checkpoint_dir: Optional[str] = None,
     resume_from: Optional[str] = None,
@@ -190,7 +189,7 @@ def optimize_assignment(
     ``method`` is one of:
 
     * ``"optimal"`` — simulated annealing on Eq. 10 (the paper's approach;
-      ``n_restarts``/``n_jobs`` run parallel independent chains);
+      ``n_restarts`` runs independent chains in lockstep, best wins);
     * ``"exhaustive"`` — exact enumeration (small arrays only);
     * ``"greedy"`` — deterministic hill climbing;
     * ``"spiral"`` / ``"sawtooth"`` — the systematic mappings of Sec. 4;
@@ -220,7 +219,6 @@ def optimize_assignment(
             constraints=constraints,
             rng=search_rng,
             n_restarts=n_restarts,
-            n_jobs=n_jobs,
             deadline_s=deadline_s,
             checkpoint_dir=checkpoint_dir,
             resume_from=resume_from,

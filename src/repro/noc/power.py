@@ -113,7 +113,7 @@ def optimize_vertical_links(
         model = PowerModel(stats, data_model)
         totals["plain"] += _random_mean(model, rng, baseline_samples)
         best = simulated_annealing(
-            model.power, width, rng=rng, steps_per_temperature=sa_steps
+            model, width, rng=rng, steps_per_temperature=sa_steps
         )
         if not best.completed:
             # An interrupted link search would bias the network totals;
@@ -127,7 +127,7 @@ def optimize_vertical_links(
         coded_power = PowerModel(coded_stats, coded_model)
         totals["coded"] += _random_mean(coded_power, rng, baseline_samples)
         coded_best = simulated_annealing(
-            coded_power.power, width + 1, rng=rng,
+            coded_power, width + 1, rng=rng,
             steps_per_temperature=sa_steps,
         )
         if not coded_best.completed:

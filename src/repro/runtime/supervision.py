@@ -1,4 +1,4 @@
-"""Supervised execution of parallel chains: retries, deadlines, interrupts.
+"""Supervised execution of independent chains: retries, deadlines, interrupts.
 
 :class:`ChainSupervisor` owns the fan-out of ``n`` independent chains
 (annealing restarts today; shards and remote workers tomorrow) and the
@@ -15,7 +15,8 @@ three failure modes every long computation has:
   chains poll at their checkpoint boundaries to return best-so-far.
 
 The supervisor knows nothing about annealing: chains are arbitrary
-callables ``(index, rng, control, attempt) -> result``.
+callables ``(index, rng, control, attempt) -> result``, run one after the
+other in index order.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
@@ -155,8 +155,8 @@ class ChainSupervisor:
     rng:
         Parent generator; each chain attempt gets a fresh generator built
         from the chain's spawned :class:`~numpy.random.SeedSequence`.
-    n_chains / n_jobs:
-        Fan-out and thread-pool width (``n_jobs=1`` runs inline).
+    n_chains:
+        Fan-out.
     max_retries:
         Extra attempts per chain after its first failure.
     control:
@@ -167,19 +167,15 @@ class ChainSupervisor:
         self,
         rng: np.random.Generator,
         n_chains: int,
-        n_jobs: int = 1,
         max_retries: int = 2,
         control: Optional[RunControl] = None,
         name: str = "chain",
     ) -> None:
         if n_chains < 1:
             raise ValueError(f"n_chains must be >= 1, got {n_chains}")
-        if n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.n_chains = n_chains
-        self.n_jobs = n_jobs
         self.max_retries = max_retries
         self.control = control if control is not None else RunControl()
         self.name = name
@@ -225,10 +221,7 @@ class ChainSupervisor:
         """Run every chain to completion, retry budget or stop signal."""
         outcomes = [ChainOutcome(index=i) for i in range(self.n_chains)]
         report = SupervisionReport(outcomes=outcomes)
-        if self.n_jobs == 1:
-            self._run_serial(chain_fn, outcomes, report)
-        else:
-            self._run_parallel(chain_fn, outcomes, report)
+        self._run_serial(chain_fn, outcomes, report)
         report.interrupted = report.interrupted or self.control.interrupted
         if report.n_failed:
             logger.warning(
@@ -263,51 +256,6 @@ class ChainSupervisor:
             # return their cheap best-so-far, keeping the result
             # well-formed.
 
-    def _run_parallel(
-        self,
-        chain_fn: ChainFunction,
-        outcomes: List[ChainOutcome],
-        report: SupervisionReport,
-    ) -> None:
-        with ThreadPoolExecutor(
-            max_workers=min(self.n_jobs, self.n_chains)
-        ) as executor:
-            pending: Dict[Any, ChainOutcome] = {
-                executor.submit(self._attempt, chain_fn, outcome): outcome
-                for outcome in outcomes
-            }
-            try:
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        outcome = pending.pop(future)
-                        try:
-                            outcome.result = future.result()
-                            outcome.error = None
-                        except KeyboardInterrupt:
-                            self.control.request_stop(interrupted=True)
-                            report.interrupted = True
-                        except Exception as error:
-                            if self._note_failure(outcome, error):
-                                pending[
-                                    executor.submit(
-                                        self._attempt, chain_fn, outcome
-                                    )
-                                ] = outcome
-            except KeyboardInterrupt:
-                # Ctrl-C in the supervising thread: tell the chains to
-                # wind down and collect what they return.
-                self.control.request_stop(interrupted=True)
-                report.interrupted = True
-                for future, outcome in list(pending.items()):
-                    try:
-                        outcome.result = future.result()
-                        outcome.error = None
-                    except KeyboardInterrupt:
-                        pass
-                    except Exception as error:
-                        self._note_failure(outcome, error)
-
 
 #: Shape/unit signatures for the deep-lint flow pass.
 REPRO_SIGNATURES = {
@@ -318,11 +266,7 @@ REPRO_SIGNATURES = {
     "ChainSupervisor": {
         "rng": "any",
         "n_chains": "scalar dimensionless",
-        "n_jobs": "scalar dimensionless",
         "max_retries": "scalar dimensionless",
     },
     "ChainSupervisor.run": {"chain_fn": "any", "return": "SupervisionReport"},
-    # Concurrency discipline: attempts run on the executor; the stop and
-    # interrupt flags are threading.Events, which synchronize themselves.
-    "@threads": ["ChainSupervisor._attempt"],
 }

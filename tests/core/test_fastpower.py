@@ -2,8 +2,9 @@
 
 The contract under test: every fast-path quantity is either bit-identical
 to the reference path (single evaluations, annealing best powers) or
-within ``1e-12`` relative of it (delta-updated running powers), for both
-fixed capacitance matrices and the MOS-aware linear model.
+within ``1e-12`` relative of it (delta-updated running powers, deltas
+against the :class:`ScalarPricer` oracle), for both fixed capacitance
+matrices and the MOS-aware linear model.
 """
 
 import functools
@@ -15,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.assignment import AssignmentConstraints, SignedPermutation
 from repro.core.fastpower import (
     CompiledPowerModel,
+    PopulationState,
+    ScalarPricer,
     as_compiled,
     random_assignments,
 )
@@ -121,25 +124,26 @@ class TestDeltaWalk:
         current = SignedPermutation.random(
             N, np.random.default_rng(seed), with_inversions=True
         )
-        state = compiled.start(current)
-        scale = abs(state.power) or 1.0
+        state = PopulationState(compiled, [current])
+        row = np.zeros(1, dtype=np.intp)
+        scale = abs(state.powers[0]) or 1.0
         for is_toggle, i, j in moves:
             before = model.power(current)
             if is_toggle:
                 candidate = current.with_toggled_inversion(i)
-                delta = state.delta_toggle(i)
-                state.toggle(i, delta)
+                delta = state.delta_toggles(row, [i])[0]
+                state.toggle(0, i)
             else:
                 if i == j:
                     continue
                 candidate = current.with_swapped_bits(i, j)
-                delta = state.delta_swap(i, j)
-                state.swap(i, j, delta)
+                delta = state.delta_swaps(row, [[i, j]])[0]
+                state.swap(0, i, j)
             reference = model.power(candidate)
             assert abs(before + delta - reference) <= 1e-12 * scale
-            assert abs(state.power - reference) <= 1e-12 * scale
+            assert abs(state.powers[0] - reference) <= 1e-12 * scale
             current = candidate
-        assert state.assignment() == current
+        assert state.assignment(0) == current
 
     @pytest.mark.parametrize("mos_aware", [False, True])
     def test_batched_kernels_match_single(self, mos_aware):
@@ -148,24 +152,59 @@ class TestDeltaWalk:
         start = SignedPermutation.random(
             N, np.random.default_rng(2), with_inversions=True
         )
-        state = compiled.start(start)
+        state = PopulationState(compiled, [start])
         bits = np.arange(N)
-        singles = np.array([state.delta_toggle(b) for b in bits])
-        np.testing.assert_array_equal(state.delta_toggles(bits), singles)
+        rows = np.zeros(len(bits), dtype=np.intp)
+        singles = np.array(
+            [state.delta_toggles(rows[:1], [b])[0] for b in bits]
+        )
+        np.testing.assert_array_equal(state.delta_toggles(rows, bits), singles)
         pairs = np.array(
             [(a, b) for a in range(N) for b in range(a + 1, N)]
         )
-        singles = np.array([state.delta_swap(a, b) for a, b in pairs])
-        np.testing.assert_array_equal(state.delta_swaps(pairs), singles)
+        rows = np.zeros(len(pairs), dtype=np.intp)
+        singles = np.array(
+            [state.delta_swaps(rows[:1], [pair])[0] for pair in pairs]
+        )
+        np.testing.assert_array_equal(state.delta_swaps(rows, pairs), singles)
+
+    @pytest.mark.parametrize("mos_aware", [False, True])
+    def test_kernels_match_scalar_oracle(self, mos_aware):
+        model = make_model(N, 7, mos_aware)
+        starts = random_assignments(
+            N, 3, np.random.default_rng(5), with_inversions=True
+        )
+        fast = PopulationState(CompiledPowerModel.compile(model), starts)
+        oracle = ScalarPricer(model.power, starts)
+        np.testing.assert_array_equal(fast.powers, oracle.powers)
+        scale = float(np.abs(oracle.powers).max())
+        rows = np.repeat(np.arange(3), N)
+        bits = np.tile(np.arange(N), 3)
+        np.testing.assert_allclose(
+            fast.delta_toggles(rows, bits), oracle.delta_toggles(rows, bits),
+            rtol=0.0, atol=1e-12 * scale,
+        )
+        pairs = np.array([(a, b) for a in range(N) for b in range(a + 1, N)])
+        rows = np.repeat(np.arange(3), len(pairs))
+        pairs = np.tile(pairs, (3, 1))
+        np.testing.assert_allclose(
+            fast.delta_swaps(rows, pairs), oracle.delta_swaps(rows, pairs),
+            rtol=0.0, atol=1e-12 * scale,
+        )
 
     def test_resync_is_stable(self):
+        """A state resynced from scratch — rebuilt from its assignment —
+        has the same power, bit for bit (what resuming an annealing
+        checkpoint relies on)."""
         model = make_model(N, 8, True)
-        state = CompiledPowerModel.compile(model).start(
-            SignedPermutation.identity(N)
+        state = PopulationState(
+            CompiledPowerModel.compile(model), [SignedPermutation.identity(N)]
         )
-        before = state.power
-        state.resync()
-        assert state.power == before
+        state.swap(0, 0, 3)
+        state.toggle(0, 2)
+        state.swap(0, 1, 2)
+        rebuilt = PopulationState(state.compiled, [state.assignment(0)])
+        assert rebuilt.powers[0] == state.powers[0]
 
 
 class TestSearchParity:
@@ -237,7 +276,7 @@ class TestSymmetryGuard:
     def test_search_state_refuses_asymmetric(self):
         compiled = CompiledPowerModel.compile(self.asymmetric_model())
         with pytest.raises(ValueError, match="symmetric"):
-            compiled.start(SignedPermutation.identity(N))
+            PopulationState(compiled, [SignedPermutation.identity(N)])
 
     def test_searches_fall_back_to_generic_path(self):
         model = self.asymmetric_model()
@@ -251,18 +290,6 @@ class TestSymmetryGuard:
 
 
 class TestMultiChain:
-    def test_restart_results_independent_of_jobs(self):
-        model = make_model(N, 2, True)
-        serial = simulated_annealing(
-            model, N, rng=np.random.default_rng(21), n_restarts=3, n_jobs=1
-        )
-        threaded = simulated_annealing(
-            model, N, rng=np.random.default_rng(21), n_restarts=3, n_jobs=3
-        )
-        assert serial.power == threaded.power
-        assert serial.assignment == threaded.assignment
-        assert serial.evaluations == threaded.evaluations
-
     def test_restart_power_is_consistent(self):
         model = make_model(N, 2, True)
         compiled = CompiledPowerModel.compile(model)

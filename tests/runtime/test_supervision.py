@@ -39,10 +39,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="got 0"):
             ChainSupervisor(np.random.default_rng(0), n_chains=0)
 
-    def test_n_jobs(self):
-        with pytest.raises(ValueError, match="got -1"):
-            ChainSupervisor(np.random.default_rng(0), n_chains=1, n_jobs=-1)
-
     def test_max_retries(self):
         with pytest.raises(ValueError, match="got -2"):
             ChainSupervisor(
@@ -55,14 +51,12 @@ class TestValidation:
 
 
 class TestRetryDeterminism:
-    def clean_results(self, n_jobs=1):
-        supervisor = ChainSupervisor(
-            np.random.default_rng(7), n_chains=4, n_jobs=n_jobs
-        )
+    def clean_results(self, seed):
+        supervisor = ChainSupervisor(np.random.default_rng(seed), n_chains=4)
         return supervisor.run(draw_chain).results()
 
-    @pytest.mark.parametrize("n_jobs", [1, 4])
-    def test_retried_chain_reproduces_clean_result(self, n_jobs):
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_retried_chain_reproduces_clean_result(self, seed):
         failures = {"left": 2}
 
         def flaky(index, rng, control, attempt):
@@ -72,35 +66,31 @@ class TestRetryDeterminism:
             return draw_chain(index, rng, control, attempt)
 
         supervisor = ChainSupervisor(
-            np.random.default_rng(7), n_chains=4, n_jobs=n_jobs,
-            max_retries=2,
+            np.random.default_rng(seed), n_chains=4, max_retries=2,
         )
         report = supervisor.run(flaky)
         assert report.n_failed == 0
         assert report.n_retried == 2
-        assert report.results() == self.clean_results(n_jobs)
-
-    def test_results_in_index_order_parallel(self):
-        assert self.clean_results(n_jobs=4) == self.clean_results(n_jobs=1)
+        assert report.results() == self.clean_results(seed)
 
 
 class TestDegradation:
-    @pytest.mark.parametrize("n_jobs", [1, 3])
-    def test_exhausted_chain_dropped_with_warning(self, caplog, n_jobs):
+    @pytest.mark.parametrize("max_retries", [1, 3])
+    def test_exhausted_chain_dropped_with_warning(self, caplog, max_retries):
         def doomed(index, rng, control, attempt):
             if index == 1:
                 raise RuntimeError("always fails")
             return draw_chain(index, rng, control, attempt)
 
         supervisor = ChainSupervisor(
-            np.random.default_rng(3), n_chains=3, n_jobs=n_jobs,
-            max_retries=1,
+            np.random.default_rng(3), n_chains=3, max_retries=max_retries,
         )
         with caplog.at_level("WARNING", logger="repro.runtime"):
             report = supervisor.run(doomed)
         assert report.n_failed == 1
         assert len(report.results()) == 2
-        assert report.outcomes[1].attempts == 2  # initial + 1 retry, bounded
+        # The initial attempt plus the bounded retries.
+        assert report.outcomes[1].attempts == max_retries + 1
         assert "degraded run" in caplog.text
 
     def test_zero_retries(self):
@@ -140,9 +130,7 @@ class TestControl:
                 raise KeyboardInterrupt
             return draw_chain(index, rng, control, attempt)
 
-        supervisor = ChainSupervisor(
-            np.random.default_rng(0), n_chains=3, n_jobs=1
-        )
+        supervisor = ChainSupervisor(np.random.default_rng(0), n_chains=3)
         report = supervisor.run(chain)
         assert report.interrupted
         assert ran == [0]

@@ -1,0 +1,63 @@
+"""The deep linter's output, pinned byte for byte.
+
+``run_lint(deep=True)`` over the deliberately-bad fixture corpora must
+print exactly the recorded JSON and SARIF text, and over ``src/repro``
+exactly the empty report. Any change to parsing, indexing, rule dispatch,
+noqa handling, ordering or rendering that moves one finding, one column
+or one byte fails here.
+
+Re-record with ``python -m pytest tests/analysis/test_lint_golden.py
+--update-golden`` and review the diff of ``tests/analysis/golden/``.
+"""
+
+import io
+from pathlib import Path
+
+import pytest
+
+from repro.analysis import run_lint
+
+REPO = Path(__file__).resolve().parents[2]
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+#: Paths are linted relative to the repository root so the recorded
+#: finding paths do not depend on where the checkout lives.
+FIXTURES = "tests/analysis/fixtures"
+SRC = "src/repro"
+
+
+def _deep_lint(path, output_format):
+    sink = io.StringIO()
+    code = run_lint([path], output_format=output_format, deep=True,
+                    stream=sink)
+    return code, sink.getvalue()
+
+
+def _check(text, name, update):
+    golden = GOLDEN_DIR / name
+    if update:
+        golden.write_text(text, encoding="utf-8")
+    assert golden.is_file(), f"missing golden file {name}; run --update-golden"
+    assert text == golden.read_text(encoding="utf-8")
+
+
+@pytest.fixture
+def update(request, monkeypatch):
+    monkeypatch.chdir(REPO)
+    return request.config.getoption("--update-golden")
+
+
+@pytest.mark.parametrize(
+    "output_format, name",
+    [("json", "fixtures_deep.json"), ("sarif", "fixtures_deep.sarif")],
+)
+def test_fixture_corpora_render_byte_identical(update, output_format, name):
+    code, text = _deep_lint(FIXTURES, output_format)
+    assert code == 1
+    _check(text, name, update)
+
+
+def test_package_deep_lint_is_empty(update):
+    code, text = _deep_lint(SRC, "json")
+    assert code == 0
+    _check(text, "src_deep.json", update)

@@ -49,12 +49,14 @@ from repro.analysis.findings import (
     summarize,
 )
 from repro.analysis.linter import ALL_RULES, lint_file, lint_paths, lint_source
+from repro.analysis.program import Program
 
 __all__ = [
     "ALL_RULES",
     "ContractViolation",
     "Finding",
     "LINT_FORMATS",
+    "Program",
     "check_capacitance_matrix",
     "check_enabled",
     "check_mna_system",
@@ -116,19 +118,22 @@ def run_lint(
     """
     stream = sys.stdout if stream is None else stream
     try:
-        findings = lint_paths(paths)
+        program = Program.load(paths)
+        findings = lint_paths(program)
         if deep:
             from repro.analysis.flow import analyze_paths
 
-            findings = sorted(set(findings) | set(analyze_paths(paths)))
+            findings = sorted(set(findings) | set(analyze_paths(program)))
         if deep or threads:
             from repro.analysis.concurrency import analyze_threads
 
-            findings = sorted(set(findings) | set(analyze_threads(paths)))
+            findings = sorted(set(findings) | set(analyze_threads(program)))
         if deep or exact:
             from repro.analysis.exactness import analyze_exactness
 
-            findings = sorted(set(findings) | set(analyze_exactness(paths)))
+            findings = sorted(
+                set(findings) | set(analyze_exactness(program))
+            )
         if exclude:
             findings = _excluded(findings, exclude)
     except FileNotFoundError as exc:

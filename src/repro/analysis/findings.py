@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 
 @dataclass(frozen=True, order=True)
@@ -34,6 +34,17 @@ class Finding:
     column: int
     rule: str
     message: str
+
+    @classmethod
+    def at(cls, path: str, node: Any, rule: str, message: str) -> "Finding":
+        """A finding at ``node``'s position (1:0 when it has none)."""
+        return cls(
+            path=path,
+            line=getattr(node, "lineno", 1),
+            column=getattr(node, "col_offset", 0),
+            rule=rule,
+            message=message,
+        )
 
     def render(self) -> str:
         """``path:line:col: REPxxx message`` — the classic linter line."""

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.shapes import Shape, parse_dim
 from repro.analysis.units import DIMENSIONLESS, AbstractValue, parse_unit
@@ -196,15 +196,14 @@ class SignatureRegistry:
     ``functions`` is keyed by every name a call site might canonicalize
     to: ``repro.tsv.matrices.maxwell_to_spice`` for plain functions and
     both ``repro.stats.switching.BitStatistics.from_stream`` and
-    ``BitStatistics.from_stream`` for members. ``attributes`` maps
-    ``ClassName.attr`` to the attribute's abstract value, and
-    ``constructors`` maps a class's dotted name to its instance type.
+    ``BitStatistics.from_stream`` for members; a class's own entry
+    returns an instance of it. ``attributes`` maps ``ClassName.attr`` to
+    the attribute's abstract value.
     """
 
     def __init__(self) -> None:
         self.functions: Dict[str, Signature] = {}
         self.attributes: Dict[str, AbstractValue] = {}
-        self.object_classes: Dict[str, str] = {}  # dotted name -> class name
         # Concurrency facts (the @-prefixed mini-language):
         self.guards: Dict[str, str] = {}  # field id -> lock id
         self.thread_entries: set = set()  # "Class", "Class.m", "func"
@@ -241,10 +240,8 @@ class SignatureRegistry:
                 # Class member (or the constructor itself): also reachable
                 # as "ClassName.member" on an instance/registry object.
                 self.functions[key] = sig
-                if "." not in key:
-                    self.object_classes[dotted] = key
-                    if sig.ret is None:
-                        sig.ret = [AbstractValue(obj=key)]
+                if "." not in key and sig.ret is None:
+                    sig.ret = [AbstractValue(obj=key)]
 
     def _add_concurrency_spec(
         self, module_name: str, key: str, spec: Sequence
@@ -364,9 +361,6 @@ class SignatureRegistry:
     def member_attribute(self, obj_type: str, member: str) -> Optional[AbstractValue]:
         return self.attributes.get(f"{obj_type}.{member}")
 
-    def instance_of(self, dotted: str) -> Optional[str]:
-        return self.object_classes.get(dotted)
-
 
 def build_registry(
     extra: Sequence[Tuple[str, Mapping]] = (),
@@ -390,7 +384,3 @@ def build_registry(
         if isinstance(raw, dict):
             registry.add_module_signatures(module_name, raw)
     return registry
-
-
-#: Convenience alias used by specs/tests.
-SpecLike = Union[str, SpecDict]

@@ -343,6 +343,12 @@ class LinkServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            except asyncio.CancelledError:
+                # close() cancelled a handler already closing its peer
+                # (the client hung up just before shutdown). End cleanly:
+                # a cancelled handler task makes the stream wrapper's
+                # done-callback log the cancel as a traceback.
+                pass
 
     def _dispatch(
         self,

@@ -78,7 +78,8 @@ def serve_headline(report: dict) -> dict:
 
 
 def lint_headline(report: dict) -> dict:
-    """Per-pass analyzer throughput over src/repro."""
+    """Per-pass analyzer throughput over src/repro (and, in reports that
+    time it, the shared parse/index/registry load)."""
     passes = {
         row["pass"]: {
             "files_per_s": row["files_per_s"],
@@ -86,7 +87,10 @@ def lint_headline(report: dict) -> dict:
         }
         for row in report["results"]
     }
-    return {"n_files": report["n_files"], "passes": passes}
+    headline = {"n_files": report["n_files"], "passes": passes}
+    if "load_s" in report:
+        headline["load_s"] = report["load_s"]
+    return headline
 
 
 def grid_headline(report: dict) -> dict:

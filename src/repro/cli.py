@@ -462,6 +462,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from repro.serve import BatchPolicy, LinkServer
 
@@ -472,7 +473,36 @@ def cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
     )
 
-    async def run() -> None:
+    async def run() -> int:
+        # SIGINT cancels this task, so the server closes from its own
+        # ``finally`` on every Python version. Before 3.11, asyncio.run
+        # raises KeyboardInterrupt wherever the loop is, and one raised
+        # inside a connection handler's step is logged as "Task
+        # exception was never retrieved". A second SIGINT gets the
+        # default handler back and interrupts a shutdown that hangs.
+        loop = asyncio.get_running_loop()
+        serving = asyncio.current_task()
+        interrupted = False
+
+        def interrupt() -> None:
+            nonlocal interrupted
+            interrupted = True
+            loop.remove_signal_handler(signal.SIGINT)
+            serving.cancel()
+
+        loop.add_signal_handler(signal.SIGINT, interrupt)
+        try:
+            await serve()
+        except asyncio.CancelledError:
+            if not interrupted:
+                raise
+            print("interrupted", file=sys.stderr)
+            return 130
+        finally:
+            loop.remove_signal_handler(signal.SIGINT)
+        return 0
+
+    async def serve() -> None:
         if args.workers is not None:
             from repro.serve.fleet import FleetServer
 
@@ -495,8 +525,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         finally:
             await server.close()
 
-    asyncio.run(run())
-    return 0
+    return asyncio.run(run())
 
 
 def cmd_stream(args: argparse.Namespace) -> int:

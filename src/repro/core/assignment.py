@@ -169,10 +169,11 @@ class SignedPermutation:
             raise ValueError(
                 f"expected (samples, {self.n_bits}) bit stream, got {bits.shape}"
             )
-        out = np.empty_like(bits)
-        for bit, (line, inv) in enumerate(zip(self.line_of_bit, self.inverted)):
-            column = bits[:, bit]
-            out[:, line] = (1 - column) if inv else column
+        order = np.asarray(self.bit_of_line, dtype=np.intp)
+        out = bits[:, order]
+        flipped = np.flatnonzero(np.asarray(self.inverted, dtype=bool)[order])
+        if len(flipped):
+            out[:, flipped] = 1 - out[:, flipped]
         return out
 
     def apply_to_statistics(self, stats: BitStatistics) -> BitStatistics:

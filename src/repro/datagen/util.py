@@ -20,10 +20,12 @@ def words_to_bits(words: np.ndarray, width: int) -> np.ndarray:
 
     Negative values are encoded in two's complement; every word must fit the
     width (``-2**(width-1) <= w < 2**width`` — unsigned values may use the
-    full width).
+    full width). Widths run from 1 to 64, the bits of one int64.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
+    if width > 64:
+        raise ValueError(f"width must be <= 64, got {width}")
     words = np.asarray(words)
     if words.ndim != 1:
         raise ValueError(f"word stream must be 1-D, got {words.ndim}-D")
@@ -32,9 +34,14 @@ def words_to_bits(words: np.ndarray, width: int) -> np.ndarray:
     lo, hi = -(2 ** (width - 1)), 2**width
     if ((words < lo) | (words >= hi)).any():
         raise ValueError(f"words outside representable range for width {width}")
-    unsigned = np.where(words < 0, words + (1 << width), words).astype(np.uint64)
-    shifts = np.arange(width, dtype=np.uint64)
-    return ((unsigned[:, None] >> shifts) & 1).astype(np.uint8)
+    # The low ``width`` bits of a word's little-endian int64 bytes are its
+    # two's complement at that width (a uint64 past 2**63 wraps, which
+    # keeps its low bits), so one unpack of the byte view expands them all.
+    little = np.ascontiguousarray(words, dtype="<i8")
+    return np.unpackbits(
+        little.view(np.uint8).reshape(-1, 8), axis=1,
+        count=width, bitorder="little",
+    )
 
 
 def bits_to_words(bits: np.ndarray, signed: bool = False) -> np.ndarray:

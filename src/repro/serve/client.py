@@ -161,8 +161,12 @@ class LinkClient:
             sock = socket.create_connection((host, int(port)), timeout=timeout)
         else:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(timeout)
-            sock.connect(address)
+            try:
+                sock.settimeout(timeout)
+                sock.connect(address)
+            except BaseException:
+                sock.close()  # a refused connect must not leak the fd
+                raise
         if sock.family != socket.AF_UNIX:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
@@ -181,16 +185,25 @@ class LinkClient:
         ``retries`` opts into reconnect-and-replay (see the class
         docstring); the default ``0`` keeps the old fail-fast behavior.
         """
-        client = cls(
-            cls._open_socket(address, timeout),
-            address=address,
-            timeout=timeout,
-            retries=retries,
-            backoff_base_s=backoff_base_s,
-            backoff_max_s=backoff_max_s,
-        )
+        sock = cls._open_socket(address, timeout)
+        try:
+            client = cls(
+                sock,
+                address=address,
+                timeout=timeout,
+                retries=retries,
+                backoff_base_s=backoff_base_s,
+                backoff_max_s=backoff_max_s,
+            )
+        except BaseException:
+            sock.close()
+            raise
         if retries:
-            client._hello()
+            try:
+                client._hello()
+            except BaseException:
+                client.close()
+                raise
         return client
 
     def close(self) -> None:

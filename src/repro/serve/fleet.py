@@ -429,7 +429,6 @@ class FleetServer(LinkServer):
         )
         self.workers: List[_WorkerHandle] = []
         self.links: Dict[str, _FleetLink] = {}
-        self._closing = False
 
     # -- worker lifecycle ----------------------------------------------------
 
@@ -1151,10 +1150,21 @@ class FleetServer(LinkServer):
             self.workers.append(_WorkerHandle(
                 index, self.runtime_dir / f"worker-{index}.sock"
             ))
-        await asyncio.gather(
-            *(self._boot_worker(handle) for handle in self.workers)
-        )
-        await super().start(host=host, port=port, path=path)
+        boots = [
+            asyncio.ensure_future(self._boot_worker(handle))
+            for handle in self.workers
+        ]
+        try:
+            await asyncio.gather(*boots)
+            await super().start(host=host, port=port, path=path)
+        except BaseException:
+            # A worker that failed to boot, or a listener that failed to
+            # bind, must not leave the other worker processes running.
+            for boot in boots:
+                boot.cancel()
+            await asyncio.gather(*boots, return_exceptions=True)
+            await self.close()
+            raise
         logger.info(
             "fleet front serving %d workers from %s",
             self.n_workers, self.runtime_dir,

@@ -309,9 +309,9 @@ class LinkMetrics:
         return data
 
 
-#: Row cap per float32 Gram slab.  Partial sums inside one SGEMM are
-#: integers bounded by the slab length; 2**22 keeps them two orders of
-#: magnitude inside float32's exact-integer range (2**24).
+#: Row cap per float32 Gram/ones slab.  Partial sums inside one SGEMM or
+#: SGEMV are integers bounded by the slab length; 2**22 keeps them two
+#: orders of magnitude inside float32's exact-integer range (2**24).
 _GRAM_SLAB_ROWS = 1 << 22
 
 
@@ -355,27 +355,34 @@ class EnergyAccount:
             )
         if bits.shape[0] == 0:
             return
-        bits = bits.astype(np.uint8)
+        bits = bits.astype(np.uint8, copy=False)
         with self._lock:
-            if self._last is None:
-                extended = bits
-            else:
-                extended = np.concatenate([self._last[None, :], bits])
-            if extended.shape[0] >= 2:
-                # Accumulate the transition Gram matrix through float32
-                # SGEMM.  The deltas are exactly 0/±1, every product is
-                # 0/±1, and each (blocked) partial sum is an integer
-                # bounded by the slab length (2**22) — far inside the
-                # 2**24 range where float32 holds integers exactly — so
-                # the product is bit-equal to the int64 one, summation
-                # order notwithstanding, at roughly 4x the throughput.
-                levels = extended.astype(np.float32)
-                deltas = levels[1:] - levels[:-1]
-                for lo in range(0, deltas.shape[0], _GRAM_SLAB_ROWS):
-                    slab = deltas[lo:lo + _GRAM_SLAB_ROWS]
-                    gram = slab.T @ slab
-                    self._gram += gram.astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
-            self._ones += bits.sum(axis=0, dtype=np.int64)
+            # One float32 copy of the levels, boundary sample first, feeds
+            # both tallies through BLAS: the transition Gram matrix as
+            # slabbed SGEMMs and the ones counts as slabbed SGEMVs. Every
+            # operand is an integer (levels 0/1, deltas 0/±1), so each
+            # (blocked) partial sum is an integer bounded by the slab
+            # length (2**22) — far inside the 2**24 range where float32
+            # holds integers exactly — and the products are bit-equal to
+            # the int64 ones, summation order notwithstanding.
+            head = 0 if self._last is None else 1
+            levels = np.empty(
+                (head + bits.shape[0], bits.shape[1]), dtype=np.float32
+            )
+            if head:
+                levels[0] = self._last
+            levels[head:] = bits
+            deltas = levels[1:] - levels[:-1]
+            for lo in range(0, deltas.shape[0], _GRAM_SLAB_ROWS):
+                slab = deltas[lo:lo + _GRAM_SLAB_ROWS]
+                gram = slab.T @ slab
+                self._gram += gram.astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
+            fresh = levels[head:]
+            unit = np.ones(min(len(fresh), _GRAM_SLAB_ROWS), dtype=np.float32)
+            for lo in range(0, len(fresh), _GRAM_SLAB_ROWS):
+                slab = fresh[lo:lo + _GRAM_SLAB_ROWS]
+                ones = unit[:len(slab)] @ slab
+                self._ones += ones.astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
             self._n_samples += bits.shape[0]
             self._last = bits[-1].copy()
 

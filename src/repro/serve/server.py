@@ -232,6 +232,9 @@ class LinkServer:
             OrderedDict()
         )
         self._conn_tasks: "set[asyncio.Task[None]]" = set()
+        #: Set when close() begins; subclasses stop their own background
+        #: work on it too.
+        self._closing = False
 
     async def start(
         self,
@@ -246,12 +249,12 @@ class LinkServer:
         """
         if path is not None:
             self._server = await asyncio.start_unix_server(
-                self._handle_client, path=path
+                self._accept, path=path
             )
             self.address = path
         else:
             self._server = await asyncio.start_server(
-                self._handle_client, host=host, port=port
+                self._accept, host=host, port=port
             )
             sockname = self._server.sockets[0].getsockname()
             self.address = (sockname[0], sockname[1])
@@ -263,7 +266,16 @@ class LinkServer:
         await self._server.serve_forever()
 
     async def close(self) -> None:
+        self._closing = True
         if self._server is not None:
+            # Stop accepting first and let the connections asyncio has
+            # already accepted finish their hand-over while the listener
+            # is still open: on 3.11 a transport built after
+            # Server.close() fails an assertion and leaks its socket.
+            loop = asyncio.get_running_loop()
+            for sock in self._server.sockets:
+                loop.remove_reader(sock.fileno())
+            await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
             self._server = None
@@ -292,13 +304,31 @@ class LinkServer:
             self._client_sessions.popitem(last=False)
         return session
 
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Start a connection's handler, registered before it first runs.
+
+        A connection accepted just before :meth:`close` may not have run
+        its handler yet; registering the task here lets ``close()`` reap
+        it, and closing the writer when the task ends covers a handler
+        cancelled before its first step (its ``finally`` never runs), so
+        no transport outlives the loop. A connection handed over after
+        ``close()`` began is closed at once.
+        """
+        if self._closing:
+            writer.close()
+            return
+        task = asyncio.get_running_loop().create_task(
+            self._handle_client(reader, writer)
+        )
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
+        task.add_done_callback(lambda _: writer.close())
+
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        me = asyncio.current_task()
-        if me is not None:
-            self._conn_tasks.add(me)
-            me.add_done_callback(self._conn_tasks.discard)
         write_lock = asyncio.Lock()
         tasks = set()
         conn = _Connection()
@@ -600,15 +630,14 @@ class BackgroundServer:
         return self
 
     def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._main())
-        finally:
-            loop.close()
+        # asyncio.run, not a bare run_until_complete: on the way out it
+        # cancels and drains every task still pending — e.g. a connection
+        # asyncio accepted while the server was closing — so none of
+        # their sockets outlives the loop.
+        asyncio.run(self._main())
 
     async def _main(self) -> None:
+        self._loop = asyncio.get_running_loop()
         if self._server_factory is not None:
             server = self._server_factory()
         else:

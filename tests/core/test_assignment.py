@@ -113,6 +113,26 @@ class TestApplyToBits:
         with pytest.raises(ValueError):
             p.apply_to_bits(np.zeros((4, 2), dtype=np.uint8))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    @pytest.mark.parametrize("samples", [0, 1, 17])
+    def test_matches_per_column_reference(self, dtype, samples):
+        rng = np.random.default_rng(samples)
+        for n in (1, 2, 5, 9):
+            bits = rng.integers(0, 2, (samples, n)).astype(dtype)
+            for _ in range(4):
+                p = SignedPermutation.random(n, rng, with_inversions=True)
+                want = np.empty_like(bits)
+                for bit, (line, inv) in enumerate(
+                    zip(p.line_of_bit, p.inverted)
+                ):
+                    column = bits[:, bit]
+                    want[:, line] = (1 - column) if inv else column
+                original = bits.copy()
+                routed = p.apply_to_bits(bits)
+                assert routed.dtype == bits.dtype
+                np.testing.assert_array_equal(routed, want)
+                np.testing.assert_array_equal(bits, original)
+
 
 @settings(max_examples=25, deadline=None)
 @given(

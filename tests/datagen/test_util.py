@@ -50,6 +50,75 @@ class TestWordsToBits:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             words_to_bits(np.array([0]), 0)
+        with pytest.raises(ValueError):
+            words_to_bits(np.array([0]), 65)
+
+
+def reference_bits(words, width):
+    """Pure-Python two's complement expansion, LSB first."""
+    return np.array(
+        [[(int(w) % 2**width) >> i & 1 for i in range(width)] for w in words],
+        dtype=np.uint8,
+    ).reshape(len(words), width)
+
+
+class TestWordsToBitsMatchesReference:
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 31, 32, 33, 62, 63, 64])
+    def test_signed_and_unsigned_extremes(self, width):
+        lo, hi = -(2 ** (width - 1)), 2**width - 1
+        values = [lo, lo + 1, -1, 0, 1, hi - 1, hi]
+        words = np.array(
+            [v for v in values if lo <= v <= min(hi, 2**63 - 1)],
+            dtype=np.int64,
+        )
+        bits = words_to_bits(words, width)
+        assert bits.dtype == np.uint8
+        np.testing.assert_array_equal(bits, reference_bits(words, width))
+
+    def test_width_63_accepts_int64_and_uint64(self):
+        # Every int64 at or above -2**62 fits 63 bits; the unsigned range
+        # runs to 2**63 - 1.
+        signed = np.array([-(2**62), -1, 0, 2**63 - 1], dtype=np.int64)
+        np.testing.assert_array_equal(
+            words_to_bits(signed, 63), reference_bits(signed, 63)
+        )
+        unsigned = np.array([0, 2**63 - 1], dtype=np.uint64)
+        np.testing.assert_array_equal(
+            words_to_bits(unsigned, 63), reference_bits(unsigned, 63)
+        )
+        with pytest.raises(ValueError):
+            words_to_bits(np.array([-(2**62) - 1], dtype=np.int64), 63)
+        with pytest.raises(ValueError):
+            words_to_bits(np.array([2**63], dtype=np.uint64), 63)
+
+    def test_empty_input(self):
+        for width in (1, 8, 63):
+            bits = words_to_bits(np.zeros(0, dtype=np.int64), width)
+            assert bits.shape == (0, width)
+            assert bits.dtype == np.uint8
+
+    def test_non_contiguous_and_narrow_dtypes(self):
+        words = np.arange(-40, 40, dtype=np.int64)
+        strided = words[::3]
+        np.testing.assert_array_equal(
+            words_to_bits(strided, 9), reference_bits(strided, 9)
+        )
+        for dtype in (np.int8, np.uint8, np.int16, np.uint32, np.uint64):
+            narrow = np.arange(0, 100, 7).astype(dtype)[::-2]
+            np.testing.assert_array_equal(
+                words_to_bits(narrow, 7), reference_bits(narrow, 7)
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64), st.data())
+    def test_random_words(self, width, data):
+        lo = max(-(2 ** (width - 1)), -(2**63))
+        hi = min(2**width - 1, 2**63 - 1)
+        values = data.draw(st.lists(st.integers(lo, hi), max_size=20))
+        words = np.array(values, dtype=np.int64)
+        np.testing.assert_array_equal(
+            words_to_bits(words, width), reference_bits(words, width)
+        )
 
 
 @settings(max_examples=50, deadline=None)

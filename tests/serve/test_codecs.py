@@ -121,7 +121,7 @@ class TestChunkInvariance:
         # reference cost function and still match the offline transform.
         words = stream(11, n=40)
         codec = CouplingInvertCodec(11)
-        assert codec._table is None
+        assert codec._prefer_inverted is None
         coded, flags = coupling_invert_encode(words, 11)
         np.testing.assert_array_equal(
             codec.encode(words), coded + (flags.astype(np.int64) << 11)

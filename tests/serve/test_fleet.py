@@ -264,6 +264,24 @@ class TestDescribe:
 class TestOrphanGuard:
     """A worker whose front dies without unwinding must exit by itself."""
 
+    def test_failed_boot_stops_every_worker(self, tmp_path):
+        # No worker can open its socket within 10 ms, so start() fails;
+        # it must not leave the already spawned workers running.
+        server = FleetServer(
+            n_workers=2, runtime_dir=str(tmp_path / "runtime"),
+            worker_boot_timeout_s=0.01,
+        )
+
+        async def scenario():
+            with pytest.raises(RuntimeError, match="did not open"):
+                await server.start(path=str(tmp_path / "fleet.sock"))
+
+        asyncio.run(scenario())
+        assert len(server.workers) == 2
+        for handle in server.workers:
+            assert handle.process is not None
+            assert handle.process.poll() is not None
+
     def test_worker_exits_when_front_disappears(self, tmp_path):
         # An intermediate process plays the fleet front: it spawns the
         # worker, waits for the socket (which guarantees the worker has

@@ -1,11 +1,14 @@
 """Metrics layer: exact energy accounting, histograms, rate meters."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.common import cap_model_for
 from repro.core.fastpower import CompiledPowerModel
+from repro.serve import metrics
 from repro.serve.metrics import (
     EnergyAccount,
     LatencyHistogram,
@@ -78,6 +81,42 @@ class TestEnergyAccountExactness:
             account.update(np.zeros((3, 5), dtype=np.uint8))
         with pytest.raises(ValueError, match="n_lines"):
             EnergyAccount(0, cap_model_for(GEOMETRY))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 60), max_size=8))
+    def test_small_slabs_match_int64_reference(self, cuts):
+        # Slabs of 5 rows split every batch longer than 5 across several
+        # float32 SGEMM/SGEMV calls; 1-row and empty batches come from
+        # repeated and adjacent cut points.
+        bits = bit_stream(60, 6, seed=len(cuts))
+        account = EnergyAccount(6, cap_model_for(GEOMETRY))
+        edges = [0] + sorted(cuts) + [len(bits)]
+        with mock.patch.object(metrics, "_GRAM_SLAB_ROWS", 5):
+            for a, b in zip(edges[:-1], edges[1:]):
+                account.update(bits[a:b])
+        wide = bits.astype(np.int64)
+        deltas = wide[1:] - wide[:-1]
+        state = account.state_dict()
+        assert state["gram"] == (deltas.T @ deltas).tolist()
+        assert state["ones"] == wide.sum(axis=0).tolist()
+        assert state["n_samples"] == len(bits)
+        assert state["last"] == wide[-1].tolist()
+
+    def test_single_row_batches_with_small_slabs(self):
+        bits = bit_stream(12, 6, seed=7)
+        account = EnergyAccount(6, cap_model_for(GEOMETRY))
+        with mock.patch.object(metrics, "_GRAM_SLAB_ROWS", 5):
+            account.update(bits[:0])
+            for row in range(len(bits)):
+                account.update(bits[row:row + 1])
+                account.update(bits[:0])
+        wide = bits.astype(np.int64)
+        deltas = wide[1:] - wide[:-1]
+        state = account.state_dict()
+        assert state["gram"] == (deltas.T @ deltas).tolist()
+        assert state["ones"] == wide.sum(axis=0).tolist()
+        assert state["n_samples"] == len(bits)
+        assert state["last"] == wide[-1].tolist()
 
     def test_report_units(self):
         account = EnergyAccount(6, cap_model_for(GEOMETRY))

@@ -141,7 +141,7 @@ def coupling_transition_costs(
     ``toggled ^ (toggled >> 1)`` marks a lone toggle next to a quiet wire
     (cost 1). Exact integer arithmetic throughout; this is the wide-bus
     batch path of the streaming coupling-invert codec, where the
-    ``(2^lines)^2`` cost table would not fit.
+    ``(2^lines)^2`` decision table would not fit.
     """
     if width < 1:
         raise ValueError("width must be >= 1")

@@ -10,14 +10,20 @@ Eq. 10 searches across array sizes, and emits ``BENCH_optimize.json``:
   pricing round) against ``k`` single-chain runs on the same spawned
   seeds — the best power, its assignment and the summed evaluation
   count must agree bit-for-bit;
+* ``P`` search problems — different models at two sizes, MOS-aware with
+  inversion toggles, one with pinned lines, one with ``n_restarts=4`` —
+  annealed as one population by ``anneal`` against ``P``
+  ``simulated_annealing`` calls on the same generators: every result
+  (power, assignment, evaluation count) must agree bit-for-bit;
 * greedy descent, naive vs delta-cost;
 * batched :meth:`CompiledPowerModel.powers` against a Python loop of
   single evaluations (the random-baseline workload).
 
 Timings are the minimum over ``--repeats`` runs (the standard low-noise
 estimator on shared machines). The script exits non-zero when the fast
-and naive annealers disagree on the seeded smoke case or when lockstep
-chains deviate from single-chain runs at any size, so CI can gate on the
+and naive annealers disagree on the seeded smoke case, when lockstep
+chains deviate from single-chain runs at any size, or when the annealed
+problems deviate from their separate runs, so CI can gate on the
 exactness of the delta kernels without gating on machine speed.
 
 Run as ``python benchmarks/bench_optimize.py [--quick]`` (needs the
@@ -35,9 +41,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.fastpower import CompiledPowerModel, random_assignments
-from repro.core.optimize import greedy_descent, simulated_annealing
+from repro.core.optimize import (
+    SearchProblem,
+    anneal,
+    greedy_descent,
+    simulated_annealing,
+)
 from repro.core.power import PowerModel
-from repro.core.assignment import SignedPermutation
+from repro.core.assignment import AssignmentConstraints, SignedPermutation
 from repro.datagen.gaussian import gaussian_bit_stream
 from repro.stats.switching import BitStatistics
 from repro.tsv.capmodel import LinearCapacitanceModel
@@ -54,15 +65,17 @@ SHAPES = {9: (3, 3), 16: (4, 4), 32: (4, 8), 64: (8, 8)}
 CHAINS = 4
 
 
-def build_model(n: int, samples: int) -> PowerModel:
+def build_model(
+    n: int, samples: int, seed: int = SEED, rho: float = 0.5
+) -> PowerModel:
     """MOS-aware power model of an ``n``-line TSV array and test stream."""
     rows, cols = SHAPES[n]
     geometry = TSVArrayGeometry(
         rows=rows, cols=cols, pitch=8.0e-6, radius=2.0e-6
     )
     bits = gaussian_bit_stream(
-        samples, n, sigma=2.0 ** (n / 2.0), rho=0.5,
-        rng=np.random.default_rng(SEED),
+        samples, n, sigma=2.0 ** (n / 2.0), rho=rho,
+        rng=np.random.default_rng(seed),
     )
     capacitance = LinearCapacitanceModel.fit(
         CapacitanceExtractor(geometry, method="compact3d"), n_probes=8
@@ -168,6 +181,66 @@ def bench_size(n: int, repeats: int, baseline_k: int, run_naive_sa: bool):
     return row
 
 
+def problem_set(samples: int) -> list:
+    """The one-population gate's problems, as ``simulated_annealing``
+    keyword arguments (generators added per run)."""
+    problems = []
+    for n in (9, 16):
+        for index, rho in enumerate((0.0, 0.5, 0.9)):
+            model = build_model(n, samples, seed=SEED + index, rho=rho)
+            problems.append({
+                "cost": CompiledPowerModel.compile(model), "n_bits": n,
+            })
+    # A fixed capacitance matrix, searched without inversions.
+    mos = build_model(16, samples, seed=SEED + 3)
+    fixed = PowerModel(
+        mos.stats, mos.cap_model.matrix(mos.stats.probabilities)
+    )
+    problems.append({
+        "cost": CompiledPowerModel.compile(fixed), "n_bits": 16,
+        "with_inversions": False,
+    })
+    problems[1]["constraints"] = AssignmentConstraints(
+        pinned={0: 4}, no_invert={1, 2}
+    )
+    problems[4]["n_restarts"] = CHAINS
+    return problems
+
+
+def problems_gate(samples: int, repeats: int) -> dict:
+    """``anneal`` of P problems vs P ``simulated_annealing`` calls."""
+    problems = problem_set(samples)
+
+    def generators():
+        return [np.random.default_rng(SEED + i) for i in range(len(problems))]
+
+    t_together, together = timed(
+        lambda: anneal([
+            SearchProblem(rng=rng, **kwargs)
+            for rng, kwargs in zip(generators(), problems)
+        ]),
+        repeats,
+    )
+    t_separate, separate = timed(
+        lambda: [
+            simulated_annealing(rng=rng, **kwargs)
+            for rng, kwargs in zip(generators(), problems)
+        ],
+        repeats,
+    )
+    return {
+        "problems": len(problems),
+        "sa_problems_s": t_together,
+        "sa_problems_separate_s": t_separate,
+        "sa_problems_speedup": t_separate / t_together,
+        "sa_problems_identical": all(
+            (a.power, a.assignment, a.evaluations, a.completed)
+            == (b.power, b.assignment, b.evaluations, b.completed)
+            for a, b in zip(together, separate)
+        ),
+    }
+
+
 def smoke_gate(samples: int = 2000) -> dict:
     """Seeded fast-vs-naive agreement check (n = 9, quick even on CI)."""
     model = build_model(9, samples=samples)
@@ -252,6 +325,18 @@ def main(argv=None) -> int:
     print(f"  identical={gate['identical']}  "
           f"fast={gate['fast_power']:.6e}  naive={gate['naive_power']:.6e}")
 
+    print("# search problems as one population vs one by one")
+    problems = problems_gate(samples=2000 if args.quick else 4000,
+                             repeats=repeats)
+    report["problems"] = problems
+    print(
+        f"  {problems['problems']} problems: anneal "
+        f"{problems['sa_problems_s']:.2f}s vs separate "
+        f"{problems['sa_problems_separate_s']:.2f}s  "
+        f"({problems['sa_problems_speedup']:.2f}x)  "
+        f"identical={problems['sa_problems_identical']}"
+    )
+
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
     print(f"# written to {args.output}")
@@ -274,6 +359,9 @@ def main(argv=None) -> int:
             "FAIL: lockstep chains deviate from single-chain runs "
             f"at n={bad_lockstep}"
         )
+        return 1
+    if not problems["sa_problems_identical"]:
+        print("FAIL: problems annealed together deviate from separate runs")
         return 1
     return 0
 

@@ -17,6 +17,7 @@ Run:  python examples/design_space.py
 
 import numpy as np
 
+from repro.core.optimize import run_searches
 from repro.datagen.gaussian import gaussian_bit_stream
 from repro.experiments.common import study_assignments
 from repro.stats.switching import BitStatistics
@@ -48,11 +49,11 @@ def main() -> None:
                 total_capacitance(extractor.extract(np.ones(n))).mean()
                 / total_capacitance(extractor.extract(np.zeros(n))).mean()
             )
-            study = study_assignments(
+            study = run_searches(study_assignments(
                 stats, geometry, methods=("optimal",),
                 cap_method="compact3d", baseline_samples=60,
                 sa_steps=10 * n,
-            )
+            ))
             print(
                 f"{rows}x{cols:<4} {radius_um:6.1f} {4 * radius_um:6.1f} "
                 f"{corner * 1e15:8.1f}f {middle * 1e15:6.1f}f "

@@ -20,6 +20,7 @@ Run:  python examples/mems_pipeline.py
 import numpy as np
 
 from repro.coding.gray import gray_encode_words
+from repro.core.optimize import run_searches
 from repro.datagen import mems
 from repro.datagen.util import interleave_streams, words_to_bits
 from repro.experiments.common import (
@@ -48,12 +49,16 @@ def main() -> None:
     rms_bits = mems.rms_stream(axes)
     rms_stats = BitStatistics.from_stream(rms_bits)
     show("RMS stream (unsigned, correlated):",
-         study_assignments(rms_stats, geometry, cap_method="compact3d"))
+         run_searches(study_assignments(
+             rms_stats, geometry, cap_method="compact3d"
+         )))
 
     xyz_bits = mems.xyz_interleaved_stream(axes)
     xyz_stats = BitStatistics.from_stream(xyz_bits)
     show("XYZ-interleaved stream (Gaussian, uncorrelated):",
-         study_assignments(xyz_stats, geometry, cap_method="compact3d"))
+         run_searches(study_assignments(
+             xyz_stats, geometry, cap_method="compact3d"
+         )))
 
     # Gray-code the interleaved stream inside the sensor's ADC (free), with
     # the XNOR variant so the parked bits sit at logical 1.
@@ -64,7 +69,9 @@ def main() -> None:
     )
     gray_stats = BitStatistics.from_stream(gray_neg)
     show("XNOR-Gray coded interleaved stream:",
-         study_assignments(gray_stats, geometry, cap_method="compact3d"))
+         run_searches(study_assignments(
+             gray_stats, geometry, cap_method="compact3d"
+         )))
 
     print("\nCircuit-level power (drivers + leakage, 3 GHz, 32 b/cycle "
           "equivalent):")
@@ -72,7 +79,9 @@ def main() -> None:
         words_to_bits(unsigned, 16), geometry, payload_bits=16,
         cap_method="compact3d",
     )
-    best = optimize_for_stream(gray_stats, geometry, cap_method="compact3d")
+    best = run_searches(optimize_for_stream(
+        gray_stats, geometry, cap_method="compact3d"
+    ))
     coded_mw = circuit_power_mw(
         gray_neg, geometry, assignment=best, payload_bits=16,
         cap_method="compact3d",

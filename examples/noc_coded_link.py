@@ -20,6 +20,7 @@ Run:  python examples/noc_coded_link.py
 
 import numpy as np
 
+from repro.core.optimize import run_searches
 from repro.datagen.random_stream import uniform_random_words
 from repro.experiments.common import optimize_for_stream
 from repro.serve import BackgroundServer, LinkClient, build_chain
@@ -45,7 +46,9 @@ def main() -> None:
         chain.encode(payload), chain.width_out
     )
     stats = BitStatistics.from_stream(preview_bits)
-    assignment = optimize_for_stream(stats, geometry, cap_method="compact3d")
+    assignment = run_searches(optimize_for_stream(
+        stats, geometry, cap_method="compact3d"
+    ))
     print(f"Optimized the {geometry.rows}x{geometry.cols} assignment "
           f"offline for the coded NoC traffic.")
 

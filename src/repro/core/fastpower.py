@@ -28,14 +28,16 @@ Three evaluation tiers are offered:
 * :meth:`CompiledPowerModel.powers` — a batch of ``k`` assignments in one
   vectorized ``O(k n^2)`` pass (random baselines, exhaustive enumeration);
 * :class:`PopulationState` — the mutable search state of ``k >= 1``
-  chains, whose :meth:`~PopulationState.delta_swaps` /
+  chains, of one model or of several models of the same size, whose
+  :meth:`~PopulationState.delta_swaps` /
   :meth:`~PopulationState.delta_toggles` price whole batches of candidate
   moves (on any mix of chains) against the current states in one set of
   vectorized operations.
 
 :class:`PopulationState` maintains per-line aggregate sums (refreshed in
-``O(n^2)`` whenever a move is *applied* — applications are rare next to
-pricings) that collapse the cost change of an inversion toggle to ``O(1)``
+``O(n^2)`` per row whenever moves are *applied*, for any number of rows
+in one stacked pass — applications are rare next to pricings) that
+collapse the cost change of an inversion toggle to ``O(1)``
 and of a bit-pair swap to ``O(n)`` per candidate. The toggle/swap kernels
 assume the capacitance matrices are symmetric (SPICE-form matrices always
 are; :attr:`CompiledPowerModel.symmetric` records the check, and
@@ -105,11 +107,10 @@ class CompiledPowerModel:
         #: Row sums of ``C_R`` and ``dC`` (line-constant aggregates).
         self.crs = self.c_r.sum(axis=1)
         self.dsum = self.delta_c.sum(axis=1)
-        #: Diagonals, contiguous for cheap fancy-index gathers.
-        self.crdiag = np.ascontiguousarray(np.diagonal(self.c_r))
-        self.ddiag = np.ascontiguousarray(np.diagonal(self.delta_c))
         #: ``[diag C_R, diag dC]`` stacked for the swap-kernel corrections.
-        self.diag_stack = np.stack((self.crdiag, self.ddiag))
+        self.diag_stack = np.stack(
+            (np.diagonal(self.c_r), np.diagonal(self.delta_c))
+        )
 
     @classmethod
     def compile(cls, model: PowerModel) -> "CompiledPowerModel":
@@ -193,7 +194,8 @@ class CompiledPowerModel:
 class PopulationState:
     """Mutable line-domain state of ``C`` delta-cost search chains.
 
-    Holds, stacked along a chain axis, each chain's line-indexed
+    Holds, stacked along a chain (row) axis, each chain's model tables
+    (``C_R``, ``dC``, their row sums and diagonals), its line-indexed
     self-switching vector, signed epsilon vector and signed coupling
     matrix, its exact power, and per-line aggregate sums that make
     candidate moves cheap to price:
@@ -209,14 +211,21 @@ class PopulationState:
       inner products against the capacitance *row differences*: **O(n)** per
       candidate.
 
-    Both kernels take a mixed-chain batch (``chains[i]`` prices move ``i``)
-    and cost one set of NumPy dispatches, so lockstep annealing prices the
-    proposal windows of every chain in one call. Every per-chain quantity
-    is computed with the same floating-point operation sequence whatever
-    the batch, so a chain's deltas do not depend on which other chains
-    share the population. The aggregates of a chain are rebuilt in
-    ``O(n^2)`` whenever a move is *applied* to it — applications are rare
-    next to pricings. Not thread-safe.
+    Rows may belong to different models of the same size (``compiled`` is
+    one model for every row, or one per row), so the chains of many
+    search problems share a population. Both kernels take a mixed-row
+    batch (``chains[i]`` prices move ``i``) and cost one set of NumPy
+    dispatches, so lockstep annealing prices the proposal windows of every
+    chain in one call. Every per-row quantity is computed with the same
+    floating-point operation sequence whatever the batch, so a chain's
+    deltas do not depend on which other chains share the population.
+
+    Applying a move (:meth:`apply_toggle`, :meth:`apply_swap`) updates the
+    row's assignment and line payloads only; :meth:`refresh` then rebuilds
+    the aggregates and exact power of any set of rows in ``O(n^2)`` each,
+    with one stacked pass whose per-row bits equal a refresh of that row
+    alone. :meth:`toggle` and :meth:`swap` do both for one row. Not
+    thread-safe.
     """
 
     #: Proposal windows one annealing pricing round may cover: any number,
@@ -224,51 +233,58 @@ class PopulationState:
     max_windows = math.inf
 
     __slots__ = (
-        "compiled", "n_chains", "line_of_bit", "bit_of_line", "inverted",
-        "sw", "p", "eps", "powers", "_tog_lin", "_tc_sum", "_all",
-        "_capdc", "_agg", "_flat_lob", "_flat_lines", "_flat_all",
-        "_flat_agg",
+        "n_lines", "n_chains", "line_of_bit", "bit_of_line",
+        "inverted", "sw", "p", "eps", "powers", "_tog_lin", "_tc_sum",
+        "_all", "_agg", "_capdc", "_flat_lob", "_flat_lines", "_flat_all",
+        "_flat_agg", "_flat_diag",
     )
 
     def __init__(
         self,
-        compiled: CompiledPowerModel,
+        compiled: Union[CompiledPowerModel, Sequence[CompiledPowerModel]],
         assignments: Sequence[SignedPermutation],
     ) -> None:
-        if not compiled.symmetric:
-            raise ValueError(
-                "delta-cost search requires a symmetric capacitance model"
-            )
-        n = compiled.n_lines
         n_chains = len(assignments)
         if n_chains < 1:
             raise ValueError("population needs at least one chain")
-        self.compiled = compiled
+        if isinstance(compiled, CompiledPowerModel):
+            models = (compiled,) * n_chains
+        else:
+            models = tuple(compiled)
+            if len(models) != n_chains:
+                raise ValueError("need one compiled model per chain")
+        n = models[0].n_lines
+        for model in models:
+            if not model.symmetric:
+                raise ValueError(
+                    "delta-cost search requires a symmetric capacitance model"
+                )
+            if model.n_lines != n:
+                raise ValueError("population models differ in size")
+        self.n_lines = n
         self.n_chains = n_chains
         self.line_of_bit = np.empty((n_chains, n), dtype=np.intp)
         self.bit_of_line = np.empty((n_chains, n), dtype=np.intp)
         self.inverted = np.empty((n_chains, n), dtype=bool)
         self.powers = np.empty(n_chains)
         # Component-major stacks: the per-line payloads [sw, eps, p,
-        # tog_lin, tc_sum], the matrices [C_R, dC, t, t^T] and the swap
-        # aggregates [crs, dsum, w, sd]. With the (chain, line) axes
-        # flattened, every kernel gather is one 1-D fancy index at
-        # ``chain * n + line`` (with the layout a single chain's gather
-        # would have) that fetches all components at once.
+        # tog_lin, tc_sum], the matrices [C_R, dC, t, t^T], the swap
+        # aggregates [crs, dsum, w, sd] and the diagonals [C_R, dC]. With
+        # the (chain, line) axes flattened, every kernel gather is one 1-D
+        # fancy index at ``chain * n + line`` (with the layout a single
+        # chain's gather would have) that fetches all components at once.
         lines = np.empty((5, n_chains, n))
         self.sw, self.eps, self.p, self._tog_lin, self._tc_sum = lines
         self._all = np.empty((4, n_chains, n, n))
         self._agg = np.empty((4, n_chains, n))
+        self._capdc = np.empty((2, n_chains, n, n))
+        diag = np.empty((2, n_chains, n))
         self._flat_lob = self.line_of_bit.reshape(-1)
         self._flat_lines = lines.reshape(5, -1)
         self._flat_all = self._all.reshape(4, -1, n)
         self._flat_agg = self._agg.reshape(4, -1)
-        # Shared refresh scratch: slot 1 is the constant dC, slot 0 is
-        # rebuilt from the refreshed chain's eps; one multiply with t then
-        # yields both t*C and t*dC.
-        self._capdc = np.empty((2, n, n))
-        self._capdc[1] = compiled.delta_c
-        for chain, assignment in enumerate(assignments):
+        self._flat_diag = diag.reshape(2, -1)
+        for chain, (model, assignment) in enumerate(zip(models, assignments)):
             check_enabled(check_signed_permutation, assignment)
             if assignment.n_bits != n:
                 raise ValueError("assignment size mismatch")
@@ -282,22 +298,23 @@ class PopulationState:
             order = self.bit_of_line[chain]
             flipped = self.inverted[chain][order]
             signs = np.where(flipped, -1.0, 1.0)
-            self.sw[chain] = compiled.self_switching[order]
-            p = compiled.probabilities[order].copy()
+            self.sw[chain] = model.self_switching[order]
+            p = model.probabilities[order].copy()
             p[flipped] = 1.0 - p[flipped]
             self.p[chain] = p
             self.eps[chain] = p - 0.5
-            t_c = compiled.t_c[np.ix_(order, order)] * np.outer(signs, signs)
+            t_c = model.t_c[np.ix_(order, order)] * np.outer(signs, signs)
             # [C_R, dC, t, t^T] stacked: one fancy-index gather yields the
             # capacitance rows plus the rows *and* columns of ``t`` at a
             # set of lines, which is most of what the swap kernel reads.
-            self._all[0, chain] = compiled.c_r
-            self._all[1, chain] = compiled.delta_c
+            self._all[0, chain] = model.c_r
+            self._all[1, chain] = self._capdc[1, chain] = model.delta_c
             self._all[2, chain] = t_c
             self._all[3, chain] = t_c.T
-            self._agg[0, chain] = compiled.crs
-            self._agg[1, chain] = compiled.dsum
-            self._refresh(chain)
+            self._agg[0, chain] = model.crs
+            self._agg[1, chain] = model.dsum
+            diag[:, chain] = model.diag_stack
+        self.refresh(np.arange(n_chains))
 
     # -- views -----------------------------------------------------------------
 
@@ -310,31 +327,44 @@ class PopulationState:
 
     # -- aggregate maintenance -------------------------------------------------
 
-    def _refresh(self, chain: int) -> None:
-        """Rebuild one chain's aggregates and exact power, ``O(n^2)``.
+    def refresh(self, chains: Sequence[int]) -> None:
+        """Rebuild the aggregates and exact powers of ``chains``, ``O(n^2)``
+        each, in one stacked pass.
 
-        Runs on chain views (refreshes happen only on commits, so a
-        per-chain pass costs nothing next to the batched pricings).
+        Stacked ``matmul`` products and axis sums run the per-row
+        operation sequence of a single-row refresh, so a row's bits do not
+        depend on which other rows are refreshed with it.
         """
-        comp = self.compiled
-        eps = self.eps[chain]
-        cap = self._capdc[0]
-        np.multiply(comp.delta_c, eps[:, None] + eps[None, :], out=cap)
-        cap += comp.c_r
-        # One broadcast multiply yields [t*C, t*dC].
-        tcd = self._all[2, chain] * self._capdc
-        rows = tcd.sum(axis=2)
-        cols = tcd.sum(axis=1)
+        if len(chains) == 1:
+            # A basic slice keeps the tables as views (no gather copies).
+            rows: Union[slice, np.ndarray] = slice(chains[0], chains[0] + 1)
+        else:
+            rows = np.asarray(chains, dtype=np.intp)
+        c_r = self._all[0, rows]                     # (r, n, n)
+        t = self._all[2, rows]
+        # [C, dC]: slot 0 is rebuilt from the rows' eps, slot 1 holds the
+        # constant dC; one broadcast multiply with t then yields both t*C
+        # and t*dC.
+        capdc = self._capdc[:, rows]
+        cap, delta_c = capdc
+        eps = self.eps[rows]
+        sw = self.sw[rows][:, None, :]               # (r, 1, n)
+        np.multiply(delta_c, eps[:, :, None] + eps[:, None, :], out=cap)
+        cap += c_r
+        tcd = t * capdc
+        row_sums = tcd.sum(axis=3)
+        col_sums = tcd.sum(axis=2)
         # ``w_l = (dC @ e)_l`` and ``sd_l = (s @ dC)_l`` feed the
         # self-switching term of the swap kernel; the constant row sums
         # occupy rows 0/1 of the aggregate table.
-        agg = self._agg[:, chain]
-        agg[2] = comp.delta_c @ eps
-        agg[3] = self.sw[chain] @ comp.delta_c
-        self._tog_lin[chain] = agg[3] + rows[1] + cols[1]
-        self._tc_sum[chain] = rows[0] + cols[0]
-        self.powers[chain] = (
-            float(self.sw[chain] @ cap.sum(axis=1)) - float(tcd[0].sum())
+        self._agg[2, rows] = np.matmul(delta_c, eps[:, :, None])[:, :, 0]
+        sd = np.matmul(sw, delta_c)[:, 0]
+        self._agg[3, rows] = sd
+        self._tog_lin[rows] = sd + row_sums[1] + col_sums[1]
+        self._tc_sum[rows] = row_sums[0] + col_sums[0]
+        self.powers[rows] = (
+            np.matmul(sw, cap.sum(axis=2)[:, :, None])[:, 0, 0]
+            - tcd[0].reshape(len(eps), -1).sum(axis=1)
         )
 
     # -- move pricing (state unchanged) ----------------------------------------
@@ -348,7 +378,7 @@ class PopulationState:
         if self.n_chains == 1:
             lines = self.line_of_bit[0][bits]
             return lines, lines
-        base = np.asarray(chains, dtype=np.intp) * self.compiled.n_lines
+        base = np.asarray(chains, dtype=np.intp) * self.n_lines
         lines = self._flat_lob[base + bits]
         return lines, base + lines
 
@@ -366,10 +396,10 @@ class PopulationState:
         with ``D`` the ``dC`` row sums and ``tdr/tdc/tcr/tcc`` the
         maintained row/column sums of ``t*dC`` and ``t*C``.
         """
-        lines, at = self._locate(chains, np.asarray(bits, dtype=np.intp))
+        _, at = self._locate(chains, np.asarray(bits, dtype=np.intp))
         sw, eps, p, tog_lin, tc_sum = self._flat_lines.take(at, axis=1)
         de = ((1.0 - p) - 0.5) - eps
-        return de * (sw * self.compiled.dsum[lines] + tog_lin) + 2.0 * tc_sum
+        return de * (sw * self._flat_agg[1][at] + tog_lin) + 2.0 * tc_sum
 
     def delta_swaps(
         self, chains: np.ndarray, pairs: np.ndarray
@@ -385,10 +415,9 @@ class PopulationState:
         vectors), plus closed-form corrections at the four entries the
         transposition maps onto themselves.
         """
-        comp = self.compiled
         ll, at = self._locate(chains, np.asarray(pairs, dtype=np.intp).T)
-        la, lb = ll[0], ll[1]                    # (2, B): [la, lb]
-        s_ab = self._flat_lines[0][at]           # (2, B)
+        lb = ll[1]
+        s_ab = self._flat_lines[0][at]           # (2, B): [la, lb]
         e_ab = self._flat_lines[1][at]
         e_a, e_b = e_ab[0], e_ab[1]
         # One gather of [C_R, dC, t, t^T] rows at both lines.
@@ -415,7 +444,7 @@ class PopulationState:
         # inner products counted for them.
         cross = self._flat_all[:, at[0], lb]     # (4, B): C_R/dC/t/t^T
         cd_g = cross[:2]                         # at (la, lb)
-        diag_g = comp.diag_stack[:, ll]                      # (2, 2, B)
+        diag_g = self._flat_diag[:, at]                      # (2, 2, B)
         diag_sum = diag_g.sum(axis=1) - 2.0 * cd_g           # (2, B)
         t_cross = cross[2] + cross[3]                        # t_ab + t_ba
         eps_sum = e_a + e_b
@@ -440,8 +469,8 @@ class PopulationState:
 
     # -- move application ------------------------------------------------------
 
-    def toggle(self, chain: int, bit: int) -> None:
-        """Commit an inversion toggle on one chain."""
+    def apply_toggle(self, chain: int, bit: int) -> None:
+        """Apply an inversion toggle to one chain; :meth:`refresh` it next."""
         line = int(self.line_of_bit[chain, bit])
         self.inverted[chain, bit] = not self.inverted[chain, bit]
         self.p[chain, line] = 1.0 - self.p[chain, line]
@@ -451,10 +480,9 @@ class PopulationState:
         tt = self._all[2:, chain]
         tt[:, line, :] *= -1.0
         tt[:, :, line] *= -1.0
-        self._refresh(chain)
 
-    def swap(self, chain: int, bit_a: int, bit_b: int) -> None:
-        """Commit a bit-pair swap on one chain."""
+    def apply_swap(self, chain: int, bit_a: int, bit_b: int) -> None:
+        """Apply a bit-pair swap to one chain; :meth:`refresh` it next."""
         la = int(self.line_of_bit[chain, bit_a])
         lb = int(self.line_of_bit[chain, bit_b])
         if la == lb:
@@ -463,21 +491,40 @@ class PopulationState:
         self.line_of_bit[chain, bit_b] = la
         self.bit_of_line[chain, la] = bit_b
         self.bit_of_line[chain, lb] = bit_a
-        for arr in (self.sw, self.p, self.eps):
-            arr[chain, la], arr[chain, lb] = arr[chain, lb], arr[chain, la]
+        # Exchange lines la and lb in the [sw, eps, p] payloads, then the
+        # rows and columns of t and t^T: basic indexing, no gathers.
+        payload = self._flat_lines[:3]
+        a, b = chain * self.n_lines + la, chain * self.n_lines + lb
+        saved = payload[:, a].copy()
+        payload[:, a] = payload[:, b]
+        payload[:, b] = saved
         tt = self._all[2:, chain]
-        tt[:, [la, lb], :] = tt[:, [lb, la], :]
-        tt[:, :, [la, lb]] = tt[:, :, [lb, la]]
-        self._refresh(chain)
+        saved = tt[:, la].copy()
+        tt[:, la] = tt[:, lb]
+        tt[:, lb] = saved
+        saved = tt[:, :, la].copy()
+        tt[:, :, la] = tt[:, :, lb]
+        tt[:, :, lb] = saved
+
+    def toggle(self, chain: int, bit: int) -> None:
+        """Commit an inversion toggle on one chain."""
+        self.apply_toggle(chain, bit)
+        self.refresh((chain,))
+
+    def swap(self, chain: int, bit_a: int, bit_b: int) -> None:
+        """Commit a bit-pair swap on one chain."""
+        self.apply_swap(chain, bit_a, bit_b)
+        self.refresh((chain,))
 
 
 class ScalarPricer:
-    """The :class:`PopulationState` pricing interface over a scalar cost.
+    """The :class:`PopulationState` pricing interface over scalar costs.
 
     For objectives without delta kernels (any ``SignedPermutation ->
     float`` callable, e.g. the penalized cost of
     :mod:`repro.core.constrained`): each row holds an immutable
-    assignment, and a candidate move costs one full cost call,
+    assignment and its cost (``cost`` is one callable for every row, or
+    one per row), and a candidate move costs one full cost call,
     ``delta = cost(candidate) - cost(current)``. Also the oracle the
     compiled kernels are tested against.
     """
@@ -488,12 +535,18 @@ class ScalarPricer:
 
     def __init__(
         self,
-        cost: Callable[[SignedPermutation], float],
+        cost: Union[Callable[[SignedPermutation], float], Sequence[Callable]],
         assignments: Sequence[SignedPermutation],
     ) -> None:
-        self.cost = cost
         self._rows = list(assignments)
-        self.powers = np.array([cost(a) for a in self._rows], dtype=float)
+        self.costs = (
+            [cost] * len(self._rows) if callable(cost) else list(cost)
+        )
+        if len(self.costs) != len(self._rows):
+            raise ValueError("need one cost per row")
+        self.powers = np.array(
+            [c(a) for c, a in zip(self.costs, self._rows)], dtype=float
+        )
 
     def assignment(self, row: int) -> SignedPermutation:
         return self._rows[row]
@@ -512,19 +565,28 @@ class ScalarPricer:
 
     def _deltas(self, rows: np.ndarray, candidates: list) -> np.ndarray:
         return np.array(
-            [self.cost(c) - self.powers[r] for r, c in zip(rows, candidates)],
+            [
+                self.costs[r](c) - self.powers[r]
+                for r, c in zip(rows, candidates)
+            ],
             dtype=float,
         )
 
-    def toggle(self, row: int, bit: int) -> None:
+    def apply_toggle(self, row: int, bit: int) -> None:
         self._set(row, self._rows[row].with_toggled_inversion(bit))
 
-    def swap(self, row: int, bit_a: int, bit_b: int) -> None:
+    def apply_swap(self, row: int, bit_a: int, bit_b: int) -> None:
         self._set(row, self._rows[row].with_swapped_bits(bit_a, bit_b))
+
+    def refresh(self, rows: Sequence[int]) -> None:
+        """Nothing to rebuild: applying a move already priced its row."""
+
+    toggle = apply_toggle
+    swap = apply_swap
 
     def _set(self, row: int, assignment: SignedPermutation) -> None:
         self._rows[row] = assignment
-        self.powers[row] = self.cost(assignment)
+        self.powers[row] = self.costs[row](assignment)
 
 
 def as_compiled(
@@ -583,8 +645,6 @@ REPRO_SIGNATURES = {
     "CompiledPowerModel.delta_c": "(N, N) farad",
     "CompiledPowerModel.crs": "(N,) farad",
     "CompiledPowerModel.dsum": "(N,) farad",
-    "CompiledPowerModel.crdiag": "(N,) farad",
-    "CompiledPowerModel.ddiag": "(N,) farad",
     "CompiledPowerModel.n_lines": "scalar dimensionless",
     "PopulationState": {
         "compiled": "CompiledPowerModel",

@@ -7,7 +7,9 @@ simulated annealing and notes the cost is negligible because each TSV
 bundle is small; we provide:
 
 * :func:`simulated_annealing` — the production search (swap and inversion
-  moves, geometric cooling, optional multi-chain restarts);
+  moves, geometric cooling, optional multi-chain restarts), and
+  :func:`anneal`, which runs many such searches (:class:`SearchProblem`)
+  as one population;
 * :func:`greedy_descent` — cheap deterministic polish: best-improvement
   hill climbing over all pair swaps and inversion toggles;
 * :func:`exhaustive_search` — exact oracle for small ``n`` (tests, and the
@@ -26,30 +28,42 @@ proposals are drawn in windows of ``_PROPOSAL_BATCH``, acceptance is the
 threshold test ``delta <= -T log(u)``, moves whose ``|delta|`` is within
 ``_PLATEAU_REL_TOL`` of floating-point noise are rejected as plateau
 shuffles, and the best accepted proposal of each window is committed.
-There is one engine, :class:`_Annealer`: it advances ``k >= 1`` chains in
-lockstep and prices every round's outstanding proposal windows, across
-all chains, through one pricer (see :func:`_pricing`). A power model is
-priced by the compiled :class:`~repro.core.fastpower.PopulationState`
-kernels, a generic callable by a
-:class:`~repro.core.fastpower.ScalarPricer` (one cost call per
-candidate). Given the same seed the two pricings take identical
+There is one engine, :func:`anneal`: it advances every chain of every
+problem in lockstep. Chains whose pricers can be shared — power models of
+the same size, or generic callables — form one population; every
+pricing round prices their outstanding proposal windows with one
+``delta_toggles`` and one ``delta_swaps`` call, applies each chain's
+committed move and rebuilds all committed rows with one stacked refresh
+(see :func:`_pricing`). A power model is priced by the compiled
+:class:`~repro.core.fastpower.PopulationState` kernels, a generic
+callable by a :class:`~repro.core.fastpower.ScalarPricer` (one cost call
+per candidate). Given the same seed the two pricings take identical
 decisions and return bit-identical best powers
 (``SearchResult.evaluations`` counts consumed proposals and also
-matches), and ``k`` lockstep chains return what ``k`` single-chain runs
-on the same generators return; ``benchmarks/bench_optimize.py`` gates on
-both.
+matches), and a chain's decisions do not depend on which chains share
+its population: ``k`` lockstep chains return what ``k`` single-chain
+runs on the same generators return, and ``anneal(problems)`` what one
+:func:`simulated_annealing` call per problem returns;
+``benchmarks/bench_optimize.py`` gates on all three.
+
+Callers that need several searches write them as *search generators*
+(:data:`Searches`): a generator yields a batch of problems, receives
+their results and finally returns its value. :func:`run_searches` drives
+one; :func:`drive_searches` drives many together, wave by wave, so the
+experiment sweeps anneal the searches of all their points as one
+population.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence,
+    Tuple, TypeVar, Union,
 )
 
 import numpy as np
@@ -245,25 +259,22 @@ def exhaustive_search(
 
 def _pricing(
     cost: SearchCost,
-) -> Tuple[Callable[[Sequence[SignedPermutation]], Any], CostFunction,
-           Optional[CompiledPowerModel]]:
-    """``(make_pricer, reference, compiled)`` for any accepted cost form.
+) -> Tuple[type, Any, CostFunction, Optional[CompiledPowerModel]]:
+    """``(pricer_type, model, reference, compiled)`` for any cost form.
 
-    ``make_pricer(assignments)`` builds the pricer the searches run on:
-    a :class:`~repro.core.fastpower.PopulationState` over the compiled
+    ``pricer_type(model, assignments)`` builds the pricer the searches run
+    on — one ``model`` per row when rows of several searches share it: a
+    :class:`~repro.core.fastpower.PopulationState` over the compiled
     kernels when the cost is a (symmetric) power model, else a
     :class:`~repro.core.fastpower.ScalarPricer` over the callable.
     ``reference`` is the scalar objective results are reported with.
     """
     compiled = as_compiled(cost)
     if compiled is not None:
-        return (
-            functools.partial(PopulationState, compiled), compiled.power,
-            compiled,
-        )
+        return PopulationState, compiled, compiled.power, compiled
     if isinstance(cost, (PowerModel, CompiledPowerModel)):
         cost = cost.power
-    return functools.partial(ScalarPricer, cost), cost, None
+    return ScalarPricer, cost, cost, None
 
 
 def greedy_descent(
@@ -286,7 +297,7 @@ def greedy_descent(
         raise ValueError("start assignment violates the constraints")
     free = constraints.free_bits(n)
     invertible = constraints.invertible_bits(n) if with_inversions else ()
-    make_pricer, reference, _ = _pricing(cost)
+    pricer_type, model, reference, _ = _pricing(cost)
     evaluations = 1
     pairs = np.array(
         [
@@ -299,7 +310,7 @@ def greedy_descent(
     toggles = np.asarray(invertible, dtype=np.intp)
     if not len(pairs) and not len(toggles):
         return SearchResult(start, reference(start), evaluations)
-    pricer = make_pricer([start])
+    pricer = pricer_type(model, [start])
     pair_rows = np.zeros(len(pairs), dtype=np.intp)
     toggle_rows = np.zeros(len(toggles), dtype=np.intp)
     for _ in range(max_rounds):
@@ -388,6 +399,43 @@ def _joined(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+@dataclass(frozen=True)
+class SearchProblem:
+    """One annealing search, as :func:`anneal` takes it.
+
+    The fields are the parameters of :func:`simulated_annealing`, with the
+    same defaults and meaning. Each problem keeps its own generator,
+    schedule, checkpoint store, deadline and restarts, whatever it shares
+    a population with.
+    """
+
+    cost: SearchCost
+    n_bits: int
+    with_inversions: bool = True
+    constraints: AssignmentConstraints = AssignmentConstraints()
+    start: Optional[SignedPermutation] = None
+    rng: Optional[np.random.Generator] = None
+    initial_temperature: Optional[float] = None
+    cooling: float = 0.93
+    steps_per_temperature: Optional[int] = None
+    min_temperature_ratio: float = 1e-4
+    polish: bool = True
+    n_restarts: int = 1
+    deadline_s: Optional[float] = None
+    checkpoint_dir: Optional[Union[str, Path]] = None
+    checkpoint_every: int = 4
+    resume_from: Optional[Union[str, Path]] = None
+    max_chain_retries: int = 2
+
+
+T = TypeVar("T")
+
+#: A search generator: yields batches of problems, receives their results
+#: (in order), returns its value. :func:`run_searches` drives one; a sweep
+#: drives many, annealing the batches of all of them together.
+Searches = Generator[List[SearchProblem], List[SearchResult], T]
+
+
 def simulated_annealing(
     cost: SearchCost,
     n_bits: int,
@@ -451,133 +499,115 @@ def simulated_annealing(
     * a ``KeyboardInterrupt``/SIGINT is converted into a clean best-so-far
       return (``completed=False``) with a final resumable checkpoint per
       chain; the other chains stop at their next temperature level.
+
+    This is :func:`anneal` of one :class:`SearchProblem`.
     """
-    constraints.validate_for(n_bits)
-    if n_restarts < 1:
-        raise ValueError(f"n_restarts must be >= 1, got {n_restarts}")
-    if deadline_s is not None and deadline_s < 0:
-        raise ValueError(f"deadline_s must be >= 0, got {deadline_s}")
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    if max_chain_retries < 0:
-        raise ValueError(f"max_chain_retries must be >= 0, got {max_chain_retries}")
-    rng = ensure_rng(rng)
-    if start is None:
-        start = _constrained_identity(n_bits, constraints)
-    elif not constraints.allows(start):
-        raise ValueError("start assignment violates the constraints")
-    make_pricer, reference, compiled = _pricing(cost)
-    free = constraints.free_bits(n_bits)
-    invertible = constraints.invertible_bits(n_bits) if with_inversions else ()
-    if len(free) < 2 and not invertible:
-        return SearchResult(start, reference(start), 1)
-    if steps_per_temperature is None:
-        steps_per_temperature = 25 * n_bits
-
-    if resume_from is not None and checkpoint_dir is None:
-        checkpoint_dir = resume_from
-    store: Optional[CheckpointStore] = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(
-            Path(checkpoint_dir),
-            kind=_CHECKPOINT_KIND,
-            fingerprint={
-                "n_bits": n_bits,
-                "with_inversions": with_inversions,
-                "pinned": constraints.pinned,
-                "no_invert": constraints.no_invert,
-                "start": _assignment_payload(start),
-                "initial_temperature": initial_temperature,
-                "cooling": cooling,
-                "steps_per_temperature": steps_per_temperature,
-                "min_temperature_ratio": min_temperature_ratio,
-                "n_restarts": n_restarts,
-            },
-        )
-    control = RunControl(
-        deadline=Deadline(deadline_s) if deadline_s is not None else None
-    )
-    annealer = _Annealer(
-        make_pricer, reference, start,
-        np.asarray(free, dtype=np.intp),
-        np.asarray(invertible, dtype=np.intp),
+    return anneal([SearchProblem(
+        cost, n_bits, with_inversions, constraints, start, rng,
         initial_temperature, cooling, steps_per_temperature,
-        min_temperature_ratio, control, store, checkpoint_every,
-    )
+        min_temperature_ratio, polish, n_restarts, deadline_s,
+        checkpoint_dir, checkpoint_every, resume_from, max_chain_retries,
+    )])[0]
 
-    if n_restarts == 1:
-        # The single chain consumes the caller's generator directly (so
-        # generator state keeps flowing); retries are a multi-chain
-        # feature — an injected crash propagates here.
-        results, errors = annealer.run([(0, rng)])
-        if errors:
-            raise errors[0]
-        chain_results, n_failed = [results[0]], 0
-    else:
-        supervisor = ChainSupervisor(
-            rng, n_restarts, max_retries=max_chain_retries,
-            control=control, name="annealing chain",
+
+def anneal(problems: Sequence[SearchProblem]) -> List[SearchResult]:
+    """Run many annealing searches as one lockstep population.
+
+    Every chain of every problem advances together: the chains of power
+    models of the same size share one
+    :class:`~repro.core.fastpower.PopulationState` (one kernel call prices
+    all their proposal windows, one stacked refresh rebuilds all their
+    committed rows), and generic-callable costs share a
+    :class:`~repro.core.fastpower.ScalarPricer`. Each chain still takes
+    exactly the decisions it would take alone, so the results — returned
+    in problem order — equal one :func:`simulated_annealing` call per
+    problem, bit for bit. A problem whose single chain raised re-raises
+    its error here (the first such problem in order).
+
+    The problems' generators and checkpoint directories must be distinct:
+    a generator shared by two problems would be drawn from in an order
+    that no sequence of separate calls reproduces.
+    """
+    searches = [_Search(problem) for problem in problems]
+    generators = [id(s.rng) for s in searches if not s.trivial]
+    if len(set(generators)) != len(generators):
+        raise ValueError("problems annealed together must not share a generator")
+    stores = [s.store.directory for s in searches if s.store is not None]
+    if len(set(stores)) != len(stores):
+        raise ValueError(
+            "problems annealed together must not share a checkpoint directory"
         )
-        # The lockstep pass runs every chain on the supervisor's spawned
-        # generator. Its results and errors are then replayed through the
-        # supervisor as each chain's attempt 0, so retries, degradation
-        # and their log lines stay in one place; a retry reruns its chain
-        # as a population of one.
-        first, first_errors = annealer.run(
-            [(index, supervisor.generator_for(index))
-             for index in range(n_restarts)]
-        )
+    chains = [search.new_chains() for search in searches]
+    _run_chains([chain for group in chains for chain in group], attempt=0)
+    return [
+        search.result(group) for search, group in zip(searches, chains)
+    ]
 
-        def run_chain(
-            index: int,
-            chain_rng: np.random.Generator,
-            chain_control: RunControl,
-            attempt: int,
-        ) -> SearchResult:
-            if attempt == 0:
-                if index in first_errors:
-                    raise first_errors[index]
-                return first[index]
-            results, errors = annealer.run([(index, chain_rng)], attempt)
-            if errors:
-                raise errors[index]
-            return results[index]
 
-        report = supervisor.run(run_chain)
-        chain_results, n_failed = report.results(), report.n_failed
-        if not chain_results:
-            raise RuntimeError(
-                f"all {n_restarts} annealing chains failed "
-                f"(last error: {report.outcomes[-1].error})"
-            )
+def run_searches(searches: Searches[T]) -> T:
+    """Drive one search generator to its return value, annealing each
+    batch of problems it yields as one population."""
+    for _, value in drive_searches([searches]):
+        return value
+    raise AssertionError("unreachable: a driven generator always returns")
 
-    best = min(chain_results, key=lambda result: result.power)
-    evaluations = sum(result.evaluations for result in chain_results)
-    completed = (
-        all(result.completed for result in chain_results)
-        and not control.should_stop()
-    )
-    best_assignment, best_power = best.assignment, best.power
-    if polish and completed:
-        try:
-            polished = greedy_descent(
-                compiled if compiled is not None else cost,
-                best_assignment,
-                with_inversions=with_inversions,
-                constraints=constraints,
-            )
-            evaluations += polished.evaluations
-            if polished.power < best_power:
-                best_assignment, best_power = (
-                    polished.assignment, polished.power
-                )
-        except KeyboardInterrupt:
-            completed = False
-            control.request_stop(interrupted=True)
-    return SearchResult(
-        best_assignment, best_power, evaluations,
-        completed=completed, n_failed_chains=n_failed,
-    )
+
+def complete_search(problem: SearchProblem) -> Searches[SearchResult]:
+    """One search as a generator step, ``result = yield from
+    complete_search(problem)``; an interrupted search (``completed`` is
+    False) raises ``KeyboardInterrupt``, so a caller never builds a
+    result — or a cached sweep row — on a best-so-far."""
+    [result] = yield [problem]
+    if not result.completed:
+        raise KeyboardInterrupt("assignment search interrupted")
+    return result
+
+
+def drive_searches(
+    searches: Sequence[Searches[Any]],
+) -> Iterator[Tuple[int, Any]]:
+    """Drive many search generators together; yields ``(index, value)``
+    as each one returns.
+
+    Every wave advances each unfinished generator to its next yield and
+    anneals the problems all of them yielded as one population
+    (:func:`anneal`), so each generator receives exactly the results it
+    would receive driven alone. A generator that raises
+    ``KeyboardInterrupt`` (an interrupted search it cannot use) does not
+    cut its wave short: the generators that finish in that wave are still
+    yielded, then the interrupt propagates. Generators left unfinished
+    are closed.
+    """
+    wave: List[Tuple[int, Optional[List[SearchResult]]]] = [
+        (index, None) for index in range(len(searches))
+    ]
+    try:
+        while wave:
+            waiting: List[Tuple[int, List[SearchProblem]]] = []
+            interrupt: Optional[KeyboardInterrupt] = None
+            for index, results in wave:
+                try:
+                    problems = searches[index].send(results)  # type: ignore[arg-type]
+                    waiting.append((index, problems))
+                except StopIteration as stop:
+                    yield index, stop.value
+                except KeyboardInterrupt as error:
+                    interrupt = error
+            if interrupt is not None:
+                raise interrupt
+            if not waiting:
+                break
+            results_iter = iter(anneal(
+                [problem for _, problems in waiting for problem in problems]
+            ))
+            wave = [
+                (index, [next(results_iter) for _ in problems])
+                for index, problems in waiting
+            ]
+    finally:
+        # Closing a finished generator is a no-op.
+        for gen in searches:
+            gen.close()
 
 
 class _Chain:
@@ -591,21 +621,22 @@ class _Chain:
     """
 
     __slots__ = (
-        "index", "name", "rng", "row", "rows", "current", "best",
-        "best_power", "current_power", "evaluations", "temperature",
-        "initial_temperature", "floor", "level", "done", "in_level",
-        "boundary", "use_toggle", "toggle_bits", "swap_a", "swap_b",
-        "thresholds", "tog_idx", "sw_idx", "tog_bits_lvl", "sw_pairs_lvl",
-        "offset", "horizon", "accepted", "result", "error",
+        "search", "index", "name", "rng", "pricer", "row", "rows",
+        "current", "best", "best_power", "current_power", "evaluations",
+        "temperature", "initial_temperature", "floor", "level", "done",
+        "in_level", "boundary", "use_toggle", "toggle_bits", "swap_a",
+        "swap_b", "thresholds", "tog_idx", "sw_idx", "tog_bits_lvl",
+        "sw_pairs_lvl", "offset", "horizon", "accepted", "result", "error",
     )
 
     def __init__(
-        self, index: int, rng: np.random.Generator, start: SignedPermutation
+        self, search: "_Search", index: int, rng: np.random.Generator
     ) -> None:
+        self.search = search
         self.index = index
         self.name = f"chain_{index:02d}"
         self.rng = rng
-        self.current = self.best = start
+        self.current = self.best = search.start
         self.best_power: Optional[float] = None
         self.evaluations = 1
         self.level = 0
@@ -620,212 +651,449 @@ class _Chain:
         self.done = True
 
 
-@dataclass(frozen=True)
-class _Annealer:
-    """The annealing engine: one configured run, any number of chains.
+def _run_chains(chains: Sequence[_Chain], attempt: int) -> None:
+    """Anneal ``chains`` (of any searches) together until each one either
+    holds a result (possibly best-so-far, ``completed=False``) or an error.
 
-    :meth:`run` advances its chains through their temperature levels in
-    lockstep. Every pricing round collects the current proposal window(s)
-    of each running chain and prices them all with one ``delta_toggles``
-    and one ``delta_swaps`` call on a shared pricer (see :func:`_pricing`);
-    the window scan, commit, horizon doubling and cooling then run per
-    chain. Per chain the draw sequence and every decision are those of the
-    chain run alone, so a population of ``k`` returns what ``k`` separate
-    runs on the same generators would.
+    An error inside a shared step (warm-up, pricing round) is charged to
+    every chain still running in that pricer, which the caller may retry
+    alone; a Ctrl-C stops every chain with its best-so-far.
     """
-
-    make_pricer: Callable[[Sequence[SignedPermutation]], Any]
-    reference: CostFunction
-    start: SignedPermutation
-    free: np.ndarray
-    invertible: np.ndarray
-    initial_temperature: Optional[float]
-    cooling: float
-    steps: int
-    min_temperature_ratio: float
-    control: RunControl
-    store: Optional[CheckpointStore]
-    checkpoint_every: int
-
-    def run(
-        self,
-        generators: Sequence[Tuple[int, np.random.Generator]],
-        attempt: int = 0,
-    ) -> Tuple[Dict[int, SearchResult], Dict[int, BaseException]]:
-        """Anneal ``(chain index, generator)`` chains together.
-
-        Returns ``(results, errors)`` keyed by chain index: every chain
-        either produced a result (possibly best-so-far, ``completed=False``)
-        or raised. An error inside a shared pricing round is charged to
-        every chain still running, which the caller may retry alone.
-        """
-        chains = [_Chain(index, rng, self.start) for index, rng in generators]
-        for chain in chains:
-            try:
-                fault_point("chain_crash", chain=chain.index, attempt=attempt)
-                self._set_up(chain)
-            except KeyboardInterrupt:
-                self._interrupt(chain)
-            except Exception as error:
+    warm: List[_Chain] = []
+    for chain in chains:
+        try:
+            fault_point("chain_crash", chain=chain.index, attempt=attempt)
+            if chain.search.restore(chain):
+                warm.append(chain)
+        except KeyboardInterrupt:
+            chain.search.interrupt(chain)
+        except Exception as error:
+            chain.fail(error)
+    for group in _by_pricer(warm):
+        try:
+            _warm_up(group)
+        except KeyboardInterrupt:
+            for chain in group:
+                chain.search.interrupt(chain)
+        except Exception as error:
+            for chain in group:
                 chain.fail(error)
-        running = [chain for chain in chains if not chain.done]
-        if running:
-            self._lockstep(running)
-        return (
-            {c.index: c.result for c in chains if c.result is not None},
-            {c.index: c.error for c in chains if c.error is not None},
-        )
+    for chain in chains:
+        if not chain.done:
+            chain.floor = (
+                chain.initial_temperature
+                * chain.search.problem.min_temperature_ratio
+            )
+    running = [chain for chain in chains if not chain.done]
+    if running:
+        _lockstep(running)
 
-    def _lockstep(self, running: List[_Chain]) -> None:
-        """Advance the set-up chains together until every one is done."""
-        pricer = self.make_pricer([chain.current for chain in running])
-        for row, chain in enumerate(running):
+
+def _by_pricer(chains: Sequence[_Chain]) -> List[List[_Chain]]:
+    """``chains`` grouped by the population they can share, in order."""
+    groups: Dict[Tuple[type, int], List[_Chain]] = {}
+    for chain in chains:
+        groups.setdefault(chain.search.group, []).append(chain)
+    return list(groups.values())
+
+
+def _new_pricer(group: Sequence[_Chain], assignments: list) -> Any:
+    """One pricer over ``group``, chain ``i`` on row ``i``."""
+    return group[0].search.pricer_type(
+        [chain.search.model for chain in group], assignments
+    )
+
+
+def _warm_up(group: Sequence[_Chain]) -> None:
+    """Scale each chain's temperature to its cost surface with a random
+    walk (unless fixed), then start it at the walk's best sample.
+
+    The walks of a group run in lockstep on one probe pricer: every step
+    applies one move per chain and refreshes all rows at once.
+    """
+    walking = []
+    for chain in group:
+        temperature = chain.search.problem.initial_temperature
+        if temperature is None:
+            walking.append(chain)
+        else:
+            chain.current = chain.best
+            chain.initial_temperature = chain.temperature = temperature
+    if not walking:
+        return
+    search = walking[0].search
+    probe = _new_pricer(walking, [chain.search.start for chain in walking])
+    rows = range(len(walking))
+    best_powers = [float(probe.powers[row]) for row in rows]
+    samples: List[List[float]] = [[] for _ in rows]
+    for _ in range(max(20, 2 * search.start.n_bits)):
+        for row, chain in enumerate(walking):
+            kind, bit_a, bit_b = _propose_move(
+                chain.rng, chain.search.free, chain.search.invertible
+            )
+            if kind == "toggle":
+                probe.apply_toggle(row, bit_a)
+            else:
+                probe.apply_swap(row, bit_a, bit_b)
+        probe.refresh(rows)
+        for row, chain in enumerate(walking):
+            value = float(probe.powers[row])
+            chain.evaluations += 1
+            samples[row].append(value)
+            if value < best_powers[row]:
+                chain.best, best_powers[row] = probe.assignment(row), value
+    for row, chain in enumerate(walking):
+        spread = float(np.std(samples[row]))
+        temperature = (
+            spread if spread > 0.0 else abs(best_powers[row]) * 0.01
+        )
+        chain.current = chain.best
+        chain.initial_temperature = chain.temperature = temperature
+
+
+def _lockstep(running: List[_Chain]) -> None:
+    """Advance the set-up chains together until every one is done."""
+    pools = []
+    for group in _by_pricer(running):
+        try:
+            pricer = _new_pricer(group, [chain.current for chain in group])
+        except Exception as error:
+            for chain in group:
+                chain.fail(error)
+            continue
+        for row, chain in enumerate(group):
+            chain.pricer = pricer
             chain.row = row
-            chain.rows = np.full(self.steps, row, dtype=np.intp)
+            chain.rows = np.full(chain.search.steps, row, dtype=np.intp)
             chain.current_power = float(pricer.powers[row])
             if chain.best_power is None:
                 chain.best_power = chain.current_power
-        try:
-            while True:
-                for chain in running:
-                    if not (chain.in_level or chain.done):
-                        try:
-                            self._start_level(chain, pricer)
-                        except KeyboardInterrupt:
-                            self._interrupt(chain)
-                        except Exception as error:
+        pools.append((pricer, group))
+    try:
+        while True:
+            for chain in running:
+                if not (chain.in_level or chain.done):
+                    try:
+                        chain.search.start_level(chain)
+                    except KeyboardInterrupt:
+                        chain.search.interrupt(chain)
+                    except Exception as error:
+                        chain.fail(error)
+            running = [chain for chain in running if not chain.done]
+            if not running:
+                break
+            for pricer, group in pools:
+                members = [chain for chain in group if not chain.done]
+                if not members:
+                    continue
+                try:
+                    _round(pricer, members)
+                except Exception as error:
+                    for chain in members:
+                        if not chain.done:
                             chain.fail(error)
-                running = [chain for chain in running if not chain.done]
-                if not running:
-                    break
-                priced = self._price_round(pricer, running)
-                for chain, deltas in zip(running, priced):
-                    self._scan(chain, pricer, deltas)
-        except KeyboardInterrupt:
-            # An asynchronous Ctrl-C mid-round: every unfinished chain
-            # returns its best-so-far.
-            for chain in running:
-                if not chain.done:
-                    self._interrupt(chain)
-        except Exception as error:
-            for chain in running:
-                if not chain.done:
-                    chain.fail(error)
-
-    def _price_round(
-        self, pricer: Any, running: List[_Chain]
-    ) -> List[np.ndarray]:
-        """One pricing round: every running chain's next window(s), priced
-        with one ``delta_toggles`` and one ``delta_swaps`` call; returns
-        each chain's deltas in proposal order."""
-        spans = []
-        tog_rows: list = []
-        tog_bits: list = []
-        sw_rows: list = []
-        sw_pairs: list = []
+    except KeyboardInterrupt:
+        # An asynchronous Ctrl-C mid-round: every unfinished chain
+        # returns its best-so-far.
         for chain in running:
-            end = min(
-                chain.offset + chain.horizon * _PROPOSAL_BATCH, self.steps
-            )
-            t_lo, t_hi = np.searchsorted(chain.tog_idx, (chain.offset, end))
-            s_lo, s_hi = np.searchsorted(chain.sw_idx, (chain.offset, end))
-            spans.append((chain, end, t_lo, t_hi, s_lo, s_hi))
-            if t_hi > t_lo:
-                tog_rows.append(chain.rows[:t_hi - t_lo])
-                tog_bits.append(chain.tog_bits_lvl[t_lo:t_hi])
-            if s_hi > s_lo:
-                sw_rows.append(chain.rows[:s_hi - s_lo])
-                sw_pairs.append(chain.sw_pairs_lvl[s_lo:s_hi])
-        tog_deltas = (
-            pricer.delta_toggles(_joined(tog_rows), _joined(tog_bits))
-            if tog_rows else None
-        )
-        sw_deltas = (
-            pricer.delta_swaps(_joined(sw_rows), _joined(sw_pairs))
-            if sw_rows else None
-        )
-        priced = []
-        tog_off = 0
-        sw_off = 0
-        for chain, end, t_lo, t_hi, s_lo, s_hi in spans:
-            deltas = np.empty(end - chain.offset)
-            if t_hi > t_lo:
-                deltas[chain.tog_idx[t_lo:t_hi] - chain.offset] = (
-                    tog_deltas[tog_off:tog_off + (t_hi - t_lo)]
-                )
-                tog_off += t_hi - t_lo
-            if s_hi > s_lo:
-                deltas[chain.sw_idx[s_lo:s_hi] - chain.offset] = (
-                    sw_deltas[sw_off:sw_off + (s_hi - s_lo)]
-                )
-                sw_off += s_hi - s_lo
-            priced.append(deltas)
-        return priced
+            if not chain.done:
+                chain.search.interrupt(chain)
 
-    def _scan(self, chain: _Chain, pricer: Any, deltas: np.ndarray) -> None:
-        """Accept test over ``chain``'s priced windows: commit the best
-        accepted move of the first window that has one, else consume them
-        all and widen the horizon."""
-        offset = chain.offset
-        span = len(deltas)
-        plateau = _PLATEAU_REL_TOL * abs(chain.current_power)
-        accept = (deltas <= chain.thresholds[offset:offset + span]) & (
-            np.abs(deltas) > plateau
-        )
-        for woff in range(0, span, _PROPOSAL_BATCH):
-            wlen = min(_PROPOSAL_BATCH, span - woff)
-            wacc = accept[woff:woff + wlen]
-            if not wacc.any():
-                continue
-            wdel = deltas[woff:woff + wlen]
-            idx = offset + woff + int(np.argmin(np.where(wacc, wdel, np.inf)))
-            if chain.use_toggle[idx]:
-                pricer.toggle(chain.row, int(chain.toggle_bits[idx]))
-            else:
-                pricer.swap(
-                    chain.row, int(chain.swap_a[idx]), int(chain.swap_b[idx])
-                )
+
+def _round(pricer: Any, members: List[_Chain]) -> None:
+    """One pricing round of the chains sharing ``pricer``: price every
+    chain's windows, apply each chain's committed move, rebuild all
+    committed rows in one refresh, then advance the cursors."""
+    committed = [
+        chain
+        for chain, deltas in zip(members, _price_round(pricer, members))
+        if _scan(chain, pricer, deltas)
+    ]
+    if committed:
+        pricer.refresh([chain.row for chain in committed])
+        for chain in committed:
             chain.current_power = float(pricer.powers[chain.row])
             if chain.current_power < chain.best_power:
                 chain.best = pricer.assignment(chain.row)
                 chain.best_power = chain.current_power
-            chain.accepted += 1
-            chain.evaluations += woff + wlen
-            chain.offset += woff + wlen
-            chain.horizon = 1
-            break
+    for chain in members:
+        if chain.offset >= chain.search.steps:
+            chain.search.end_level(chain)
+
+
+def _price_round(pricer: Any, running: List[_Chain]) -> List[np.ndarray]:
+    """Every running chain's next window(s), priced with one
+    ``delta_toggles`` and one ``delta_swaps`` call; returns each chain's
+    deltas in proposal order."""
+    spans = []
+    tog_rows: list = []
+    tog_bits: list = []
+    sw_rows: list = []
+    sw_pairs: list = []
+    for chain in running:
+        end = min(
+            chain.offset + chain.horizon * _PROPOSAL_BATCH, chain.search.steps
+        )
+        t_lo, t_hi = chain.tog_idx.searchsorted((chain.offset, end))
+        s_lo, s_hi = chain.sw_idx.searchsorted((chain.offset, end))
+        spans.append((chain, end, t_lo, t_hi, s_lo, s_hi))
+        if t_hi > t_lo:
+            tog_rows.append(chain.rows[:t_hi - t_lo])
+            tog_bits.append(chain.tog_bits_lvl[t_lo:t_hi])
+        if s_hi > s_lo:
+            sw_rows.append(chain.rows[:s_hi - s_lo])
+            sw_pairs.append(chain.sw_pairs_lvl[s_lo:s_hi])
+    tog_deltas = (
+        pricer.delta_toggles(_joined(tog_rows), _joined(tog_bits))
+        if tog_rows else None
+    )
+    sw_deltas = (
+        pricer.delta_swaps(_joined(sw_rows), _joined(sw_pairs))
+        if sw_rows else None
+    )
+    priced = []
+    tog_off = 0
+    sw_off = 0
+    for chain, end, t_lo, t_hi, s_lo, s_hi in spans:
+        deltas = np.empty(end - chain.offset)
+        if t_hi > t_lo:
+            deltas[chain.tog_idx[t_lo:t_hi] - chain.offset] = (
+                tog_deltas[tog_off:tog_off + (t_hi - t_lo)]
+            )
+            tog_off += t_hi - t_lo
+        if s_hi > s_lo:
+            deltas[chain.sw_idx[s_lo:s_hi] - chain.offset] = (
+                sw_deltas[sw_off:sw_off + (s_hi - s_lo)]
+            )
+            sw_off += s_hi - s_lo
+        priced.append(deltas)
+    return priced
+
+
+def _scan(chain: _Chain, pricer: Any, deltas: np.ndarray) -> bool:
+    """Accept test over ``chain``'s priced windows: apply the best accepted
+    move of the first window that has one (True; the caller refreshes the
+    row), else consume them all and widen the horizon (False)."""
+    offset = chain.offset
+    span = len(deltas)
+    plateau = _PLATEAU_REL_TOL * abs(chain.current_power)
+    accept = (deltas <= chain.thresholds[offset:offset + span]) & (
+        np.abs(deltas) > plateau
+    )
+    hits = accept.nonzero()[0]
+    if not len(hits):
+        chain.evaluations += span
+        chain.offset += span
+        if chain.horizon < pricer.max_windows:
+            chain.horizon *= 2
+        return False
+    # The first window holding an accepted proposal commits its best one.
+    woff = int(hits[0]) // _PROPOSAL_BATCH * _PROPOSAL_BATCH
+    wlen = min(_PROPOSAL_BATCH, span - woff)
+    wdel = np.where(accept[woff:woff + wlen], deltas[woff:woff + wlen], np.inf)
+    idx = offset + woff + int(np.argmin(wdel))
+    if chain.use_toggle[idx]:
+        pricer.apply_toggle(chain.row, int(chain.toggle_bits[idx]))
+    else:
+        pricer.apply_swap(
+            chain.row, int(chain.swap_a[idx]), int(chain.swap_b[idx])
+        )
+    chain.accepted += 1
+    chain.evaluations += woff + wlen
+    chain.offset += woff + wlen
+    chain.horizon = 1
+    return True
+
+
+class _Search:
+    """One validated :class:`SearchProblem`: its configuration, pricing,
+    checkpoint store, run control and chains, plus the per-chain steps
+    that depend on them (checkpoint restore, level boundaries, finish)."""
+
+    def __init__(self, problem: SearchProblem) -> None:
+        n_bits = problem.n_bits
+        constraints = problem.constraints
+        constraints.validate_for(n_bits)
+        if problem.n_restarts < 1:
+            raise ValueError(
+                f"n_restarts must be >= 1, got {problem.n_restarts}"
+            )
+        if problem.deadline_s is not None and problem.deadline_s < 0:
+            raise ValueError(
+                f"deadline_s must be >= 0, got {problem.deadline_s}"
+            )
+        if problem.checkpoint_every < 1:
+            raise ValueError(
+                f"checkpoint_every must be >= 1, got {problem.checkpoint_every}"
+            )
+        if problem.max_chain_retries < 0:
+            raise ValueError(
+                "max_chain_retries must be >= 0, got "
+                f"{problem.max_chain_retries}"
+            )
+        self.problem = problem
+        self.rng = ensure_rng(problem.rng)
+        start = problem.start
+        if start is None:
+            start = _constrained_identity(n_bits, constraints)
+        elif not constraints.allows(start):
+            raise ValueError("start assignment violates the constraints")
+        self.start = start
+        self.pricer_type, self.model, self.reference, self.compiled = (
+            _pricing(problem.cost)
+        )
+        self.group = (self.pricer_type, n_bits)
+        free = constraints.free_bits(n_bits)
+        invertible = (
+            constraints.invertible_bits(n_bits)
+            if problem.with_inversions else ()
+        )
+        self.free = np.asarray(free, dtype=np.intp)
+        self.invertible = np.asarray(invertible, dtype=np.intp)
+        self.trivial = len(free) < 2 and not invertible
+        self.steps = (
+            25 * n_bits if problem.steps_per_temperature is None
+            else problem.steps_per_temperature
+        )
+        self.store: Optional[CheckpointStore] = None
+        self.supervisor: Optional[ChainSupervisor] = None
+        self.control = RunControl(
+            deadline=(
+                Deadline(problem.deadline_s)
+                if problem.deadline_s is not None else None
+            )
+        )
+        if self.trivial:
+            return
+        checkpoint_dir = problem.checkpoint_dir
+        if problem.resume_from is not None and checkpoint_dir is None:
+            checkpoint_dir = problem.resume_from
+        if checkpoint_dir is not None:
+            self.store = CheckpointStore(
+                Path(checkpoint_dir),
+                kind=_CHECKPOINT_KIND,
+                fingerprint={
+                    "n_bits": n_bits,
+                    "with_inversions": problem.with_inversions,
+                    "pinned": constraints.pinned,
+                    "no_invert": constraints.no_invert,
+                    "start": _assignment_payload(start),
+                    "initial_temperature": problem.initial_temperature,
+                    "cooling": problem.cooling,
+                    "steps_per_temperature": self.steps,
+                    "min_temperature_ratio": problem.min_temperature_ratio,
+                    "n_restarts": problem.n_restarts,
+                },
+            )
+        if problem.n_restarts > 1:
+            self.supervisor = ChainSupervisor(
+                self.rng, problem.n_restarts,
+                max_retries=problem.max_chain_retries,
+                control=self.control, name="annealing chain",
+            )
+
+    def new_chains(self) -> List[_Chain]:
+        """The problem's chains, ready for their first lockstep pass."""
+        if self.trivial:
+            return []
+        if self.supervisor is None:
+            # The single chain consumes the caller's generator directly (so
+            # generator state keeps flowing); retries are a multi-chain
+            # feature — an injected crash propagates.
+            return [_Chain(self, 0, self.rng)]
+        return [
+            _Chain(self, index, self.supervisor.generator_for(index))
+            for index in range(self.problem.n_restarts)
+        ]
+
+    def result(self, chains: List[_Chain]) -> SearchResult:
+        """The problem's result once its ``chains`` have run: the best
+        chain, polished; retries of crashed chains run here, each alone."""
+        if self.trivial:
+            return SearchResult(self.start, self.reference(self.start), 1)
+        if self.supervisor is None:
+            chain = chains[0]
+            if chain.error is not None:
+                raise chain.error
+            chain_results, n_failed = [chain.result], 0
         else:
-            chain.evaluations += span
-            chain.offset += span
-            if chain.horizon < pricer.max_windows:
-                chain.horizon *= 2
-        if chain.offset >= self.steps:
-            self._end_level(chain)
+            # The lockstep pass ran every chain on the supervisor's spawned
+            # generator. Its results and errors are replayed through the
+            # supervisor as each chain's attempt 0, so retries,
+            # degradation and their log lines stay in one place; a retry
+            # reruns its chain as a population of one.
+            def run_chain(
+                index: int,
+                chain_rng: np.random.Generator,
+                chain_control: RunControl,
+                attempt: int,
+            ) -> SearchResult:
+                chain = chains[index]
+                if attempt > 0:
+                    chain = _Chain(self, index, chain_rng)
+                    _run_chains([chain], attempt)
+                if chain.error is not None:
+                    raise chain.error
+                return chain.result
+
+            report = self.supervisor.run(run_chain)
+            chain_results, n_failed = report.results(), report.n_failed
+            if not chain_results:
+                raise RuntimeError(
+                    f"all {self.problem.n_restarts} annealing chains failed "
+                    f"(last error: {report.outcomes[-1].error})"
+                )
+
+        best = min(chain_results, key=lambda result: result.power)
+        evaluations = sum(result.evaluations for result in chain_results)
+        completed = (
+            all(result.completed for result in chain_results)
+            and not self.control.should_stop()
+        )
+        best_assignment, best_power = best.assignment, best.power
+        if self.problem.polish and completed:
+            try:
+                polished = greedy_descent(
+                    self.compiled if self.compiled is not None else self.model,
+                    best_assignment,
+                    with_inversions=self.problem.with_inversions,
+                    constraints=self.problem.constraints,
+                )
+                evaluations += polished.evaluations
+                if polished.power < best_power:
+                    best_assignment, best_power = (
+                        polished.assignment, polished.power
+                    )
+            except KeyboardInterrupt:
+                completed = False
+                self.control.request_stop(interrupted=True)
+        return SearchResult(
+            best_assignment, best_power, evaluations,
+            completed=completed, n_failed_chains=n_failed,
+        )
 
     # -- per-chain steps -----------------------------------------------------
 
-    def _set_up(self, chain: _Chain) -> None:
-        """Resume ``chain`` from its checkpoint or warm it up; a chain whose
-        checkpoint holds its finished result is done at once."""
-        payload = None
-        if self.store is not None:
-            checkpoint = self.store.load(chain.name)
-            if checkpoint is not None:
-                payload = checkpoint.payload
-                if payload.get("phase") == "done":
-                    logger.info(
-                        "%s already finished; reusing result", chain.name
-                    )
-                    chain.result = SearchResult(
-                        _assignment_from_payload(payload["best"]),
-                        float(payload["best_power"]),
-                        int(payload["evaluations"]),
-                    )
-                    chain.done = True
-                    return
-        if payload is None or not self._resume(chain, payload):
-            self._warm_up(chain)
-        chain.floor = chain.initial_temperature * self.min_temperature_ratio
+    def restore(self, chain: _Chain) -> bool:
+        """Resume ``chain`` from its checkpoint; True when it still needs
+        its warm-up. A chain whose checkpoint holds its finished result is
+        done at once."""
+        if self.store is None:
+            return True
+        checkpoint = self.store.load(chain.name)
+        if checkpoint is None:
+            return True
+        payload = checkpoint.payload
+        if payload.get("phase") == "done":
+            logger.info("%s already finished; reusing result", chain.name)
+            chain.result = SearchResult(
+                _assignment_from_payload(payload["best"]),
+                float(payload["best_power"]),
+                int(payload["evaluations"]),
+            )
+            chain.done = True
+            return False
+        return not self._resume(chain, payload)
 
     def _resume(self, chain: _Chain, payload: Dict[str, Any]) -> bool:
         try:
@@ -852,33 +1120,7 @@ class _Annealer:
         )
         return True
 
-    def _warm_up(self, chain: _Chain) -> None:
-        """Scale the temperature to the cost surface with a random walk
-        (unless fixed), then start the chain at the walk's best sample."""
-        temperature = self.initial_temperature
-        if temperature is None:
-            probe = self.make_pricer([self.start])
-            best_power = float(probe.powers[0])
-            samples = []
-            for _ in range(max(20, 2 * self.start.n_bits)):
-                kind, bit_a, bit_b = _propose_move(
-                    chain.rng, self.free, self.invertible
-                )
-                if kind == "toggle":
-                    probe.toggle(0, bit_a)
-                else:
-                    probe.swap(0, bit_a, bit_b)
-                value = float(probe.powers[0])
-                chain.evaluations += 1
-                samples.append(value)
-                if value < best_power:
-                    chain.best, best_power = probe.assignment(0), value
-            spread = float(np.std(samples))
-            temperature = spread if spread > 0.0 else abs(best_power) * 0.01
-        chain.current = chain.best
-        chain.initial_temperature = chain.temperature = temperature
-
-    def _start_level(self, chain: _Chain, pricer: Any) -> None:
+    def start_level(self, chain: _Chain) -> None:
         """Level boundary: checkpoint, stop checks, then pre-draw the level.
 
         The snapshot is taken *before* the level's draws, so a resume
@@ -893,14 +1135,16 @@ class _Annealer:
                 "level": chain.level,
                 "temperature": chain.temperature,
                 "initial_temperature": chain.initial_temperature,
-                "current": _assignment_payload(pricer.assignment(chain.row)),
+                "current": _assignment_payload(
+                    chain.pricer.assignment(chain.row)
+                ),
                 "current_power": chain.current_power,
                 "best": _assignment_payload(chain.best),
                 "best_power": chain.best_power,
                 "evaluations": chain.evaluations,
                 "rng": encode_rng_state(chain.rng),
             }
-            if chain.level % self.checkpoint_every == 0:
+            if chain.level % self.problem.checkpoint_every == 0:
                 self.store.save(chain.name, chain.boundary, step=chain.level)
         fault_point("interrupt_at", chain=chain.index, level=chain.level)
         if self.control.should_stop():
@@ -936,8 +1180,8 @@ class _Annealer:
         chain.accepted = 0
         chain.in_level = True
 
-    def _end_level(self, chain: _Chain) -> None:
-        chain.temperature *= self.cooling
+    def end_level(self, chain: _Chain) -> None:
+        chain.temperature *= self.problem.cooling
         chain.level += 1
         chain.in_level = False
         if (
@@ -972,7 +1216,7 @@ class _Annealer:
                 chain.name, chain.boundary, step=int(chain.boundary["level"])
             )
 
-    def _interrupt(self, chain: _Chain) -> None:
+    def interrupt(self, chain: _Chain) -> None:
         logger.warning(
             "%s interrupted at level %d; returning best-so-far",
             chain.name, chain.level,
@@ -1037,6 +1281,10 @@ REPRO_SIGNATURES = {
         "exhaustive_search",
         "greedy_descent",
         "simulated_annealing",
+        "anneal",
+        "run_searches",
+        "complete_search",
+        "drive_searches",
         "optimize_power_model",
     ],
 }

@@ -22,6 +22,7 @@ from repro.core.assignment import SignedPermutation
 from repro.core.optimize import (
     exhaustive_search,
     greedy_descent,
+    run_searches,
     simulated_annealing,
 )
 from repro.core.power import PowerModel
@@ -53,7 +54,7 @@ def capacitance_models(
     stats = BitStatistics.from_stream(bits)
     rows = []
     for method in ("fdm", "compact", "compact3d"):
-        study = study_assignments(
+        study = run_searches(study_assignments(
             stats,
             geometry,
             methods=("optimal", "sawtooth", "spiral"),
@@ -61,7 +62,7 @@ def capacitance_models(
             seed=seed,
             sa_steps=6 * geometry.n_tsvs if fast else None,
             cap_method=method,
-        )
+        ))
         rows.append(
             ExperimentRow(
                 method,
@@ -236,10 +237,10 @@ def variation_robustness(
     from repro.experiments.common import optimize_for_stream
 
     candidates = {
-        "optimal (nominal)": optimize_for_stream(
+        "optimal (nominal)": run_searches(optimize_for_stream(
             stats, geometry, seed=seed,
             sa_steps=6 * geometry.n_tsvs if fast else None,
-        ),
+        )),
         "sawtooth": sawtooth_assignment(geometry),
     }
     variation = VariationModel()

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import logging
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -14,7 +17,15 @@ from repro.circuit.driver import DriverModel
 from repro.circuit.energy import EnergyModel
 from repro.core.assignment import AssignmentConstraints, SignedPermutation
 from repro.core.fastpower import CompiledPowerModel
-from repro.core.optimize import simulated_annealing
+from repro.core.optimize import (
+    SearchProblem,
+    Searches,
+    complete_search,
+    drive_searches,
+)
+# Still importable from here: ``perfbench/spans.py`` wraps every module
+# attribute bound to the search entry point, and its tests pin this one.
+from repro.core.optimize import simulated_annealing  # noqa: F401
 from repro.core.power import PowerModel
 from repro.core.systematic import sawtooth_assignment, spiral_assignment_for_stats
 from repro.core.pipeline import random_baseline_power
@@ -92,6 +103,19 @@ class PointSpec:
     fingerprint: Dict[str, object]
 
 
+#: The values of one sweep point (one printed row, or part of one).
+PointValues = Dict[str, float]
+
+#: What computes a sweep point: a callable returning its values, or —
+#: for points that anneal — a search generator returning them (see
+#: :meth:`ExperimentSweep.compute_all`).
+PointThunk = Callable[[], Union[PointValues, Searches[PointValues]]]
+
+#: One point handed to :meth:`ExperimentSweep.compute_all`:
+#: ``(label, thunk, fingerprint)``.
+SweepPoint = Tuple[str, PointThunk, Optional[Dict[str, object]]]
+
+
 @dataclass(frozen=True)
 class GridPoint:
     """One runnable sweep point: its spec plus the value-producing thunk.
@@ -103,7 +127,7 @@ class GridPoint:
     """
 
     spec: PointSpec
-    thunk: Callable[[], Dict[str, float]]
+    thunk: PointThunk
 
 
 def format_table(
@@ -144,18 +168,20 @@ class ExperimentSweep:
     Each sweep point is one expensive, *seed-determined* computation (an
     annealing study, a NoC link optimization). The sweep runner
 
-    * generates the point's input data *outside* :meth:`compute`, so a
+    * generates the points' input data *outside* their thunks, so a
       resumed run replays the exact datagen RNG sequence of an
       uninterrupted one (skipping cached points never desyncs later ones);
-    * wraps the expensive call in ``compute(label, thunk, fingerprint)``
-      — finished points are served from the checkpoint instead of
-      recomputed, but only when the stored per-point fingerprint matches
-      the caller's (so an edited sweep parameter invalidates the stale
-      row instead of silently serving it);
-    * wraps the point loop in ``with sweep.interruptible():`` so a
-      Ctrl-C (or the ``interrupt_at`` fault point, fired at every point
-      boundary) ends the sweep cleanly with the rows finished so far and
-      a resumable checkpoint on disk.
+    * computes the points with ``compute_all(points)`` (or one with
+      ``compute(label, thunk, fingerprint)``) — finished points are
+      served from the checkpoint instead of recomputed, but only when the
+      stored per-point fingerprint matches the caller's (so an edited
+      sweep parameter invalidates the stale row instead of silently
+      serving it); the annealing searches of all the others run as one
+      population, wave by wave;
+    * ends cleanly on a Ctrl-C (or the ``interrupt_at`` fault point,
+      fired at every point boundary) with the rows finished so far and a
+      resumable checkpoint on disk; ``with sweep.interruptible():``
+      extends that to the datagen around the points.
 
     Without a ``checkpoint_dir`` the sweep runs exactly as before: no
     files, no resume, interrupts still exit cleanly.
@@ -171,7 +197,6 @@ class ExperimentSweep:
         self.interrupted = False
         self._points: Dict[str, Dict[str, object]] = {}
         self._store: Optional[CheckpointStore] = None
-        self._n_points = 0
         if checkpoint_dir is not None:
             self._store = CheckpointStore(
                 Path(checkpoint_dir), kind=f"sweep-{kind}",
@@ -195,20 +220,82 @@ class ExperimentSweep:
     def compute(
         self,
         label: str,
-        thunk: Callable[[], Dict[str, float]],
+        thunk: PointThunk,
         fingerprint: Optional[Dict[str, object]] = None,
-    ) -> Dict[str, float]:
+    ) -> PointValues:
         """The values of sweep point ``label``, computed or restored.
 
         A cached entry is served only when its stored per-point
         ``fingerprint`` equals the caller's — a label alone is not an
         identity (the same row label with edited parameters must
         recompute, not resurrect the stale values). Entries written by
-        older checkpoints (no fingerprint envelope) are recomputed.
+        older checkpoints (no fingerprint envelope) are recomputed. An
+        interrupt propagates.
         """
-        fault_point("interrupt_at", sweep=self.kind, point=label)
-        self._n_points += 1
-        expected = jsonify(fingerprint) if fingerprint is not None else None
+        for _, values in self._waves([(label, thunk, fingerprint)]):
+            return values
+        raise AssertionError("unreachable: a point either returns or raises")
+
+    def compute_all(
+        self, points: Sequence[SweepPoint]
+    ) -> Dict[str, PointValues]:
+        """The values of many ``(label, thunk, fingerprint)`` points.
+
+        Cached points are restored as in :meth:`compute`; the others run
+        as one batch: each wave advances every unfinished point's
+        generator to its next yield and anneals all the yielded searches
+        as one population (:func:`repro.core.optimize.drive_searches`),
+        and a point's row is checkpointed as soon as its generator
+        returns. An interrupt ends the batch cleanly: the points finished
+        so far are returned and the sweep is marked interrupted.
+        """
+        done: Dict[str, PointValues] = {}
+        with self.interruptible():
+            for label, values in self._waves(points):
+                done[label] = values
+        return done
+
+    def rows(
+        self, points: Sequence[GridPoint], key: str = "label"
+    ) -> List[ExperimentRow]:
+        """The rows of ``points`` computed as one batch (see
+        :meth:`compute_all`), each checkpointed under its spec's ``key``
+        attribute (``"label"`` or ``"name"``); interrupted points are
+        left out."""
+        entries = [
+            (getattr(point.spec, key), point.thunk, point.spec.fingerprint)
+            for point in points
+        ]
+        done = self.compute_all(entries)
+        return [
+            ExperimentRow(point.spec.label, done[label])
+            for (label, _, _), point in zip(entries, points)
+            if label in done
+        ]
+
+    def _waves(
+        self, points: Sequence[SweepPoint]
+    ) -> Iterator[Tuple[str, PointValues]]:
+        """``(label, values)`` of every point: cached and plain-callable
+        points in order, then the search generators as they return."""
+        pending: List[Tuple[str, object, Searches[PointValues]]] = []
+        for label, thunk, fingerprint in points:
+            fault_point("interrupt_at", sweep=self.kind, point=label)
+            expected = jsonify(fingerprint) if fingerprint is not None else None
+            cached = self._cached(label, expected)
+            if cached is not None:
+                yield label, cached
+                continue
+            computed = thunk()
+            if isinstance(computed, types.GeneratorType):
+                pending.append((label, expected, computed))
+            else:
+                yield label, self._record(label, expected, computed)
+        for index, values in drive_searches([gen for _, _, gen in pending]):
+            label, expected, _ = pending[index]
+            yield label, self._record(label, expected, values)
+
+    def _cached(self, label: str, expected: object) -> Optional[PointValues]:
         entry = self._points.get(label)
         if isinstance(entry, dict) and set(entry) == {"fingerprint", "values"}:
             values = entry.get("values")
@@ -220,7 +307,12 @@ class ExperimentSweep:
                 "checkpointed point %r was computed with different "
                 "parameters; recomputing", label,
             )
-        values = {str(k): float(v) for k, v in thunk().items()}
+        return None
+
+    def _record(
+        self, label: str, expected: object, computed: Mapping[str, float]
+    ) -> PointValues:
+        values = {str(k): float(v) for k, v in computed.items()}
         self._points[label] = {"fingerprint": expected, "values": values}
         self._save()
         return dict(values)
@@ -283,14 +375,18 @@ def study_assignments(
     sa_steps: Optional[int] = None,
     cap_method: str = CAP_METHOD,
     checkpoint_dir: Optional[Union[str, Path]] = None,
-) -> AssignmentStudy:
+) -> Searches[AssignmentStudy]:
     """Evaluate the requested assignment strategies on one stream.
 
-    Returns the normalized powers plus the random-assignment baselines; a
-    shared capacitance model keeps repeated calls cheap. All evaluations
-    run on the compiled fast-path kernels, and the search and baseline use
-    independent spawned RNG streams so the baselines depend only on the
-    seed, not on which methods ran.
+    A search generator: it yields its annealing search and returns the
+    study, so sweeps anneal it together with other points' searches; run
+    it alone with :func:`repro.core.optimize.run_searches`.
+
+    The study holds the normalized powers plus the random-assignment
+    baselines; a shared capacitance model keeps repeated calls cheap. All
+    evaluations run on the compiled fast-path kernels, and the search and
+    baseline use independent spawned RNG streams so the baselines depend
+    only on the seed, not on which methods ran.
 
     ``checkpoint_dir`` threads straight into the annealing search's
     observational checkpointing (grid workers pass their per-job
@@ -308,7 +404,7 @@ def study_assignments(
     powers: Dict[str, float] = {}
     for method in methods:
         if method == "optimal":
-            result = simulated_annealing(
+            result = yield from complete_search(SearchProblem(
                 compiled,
                 model.n_lines,
                 with_inversions=with_inversions,
@@ -316,12 +412,7 @@ def study_assignments(
                 rng=search_rng,
                 steps_per_temperature=sa_steps,
                 checkpoint_dir=checkpoint_dir,
-            )
-            if not result.completed:
-                # A best-so-far power would be silently cached as a sweep
-                # point; bubble up so the sweep drops the half-done point
-                # and exits cleanly instead.
-                raise KeyboardInterrupt("assignment search interrupted")
+            ))
             powers[method] = result.power
         elif method == "spiral":
             assignment = spiral_assignment_for_stats(
@@ -352,10 +443,13 @@ def optimize_for_stream(
     sa_steps: Optional[int] = None,
     cap_method: str = CAP_METHOD,
     checkpoint_dir: Optional[Union[str, Path]] = None,
-) -> SignedPermutation:
-    """The Eq. 10 optimal assignment for one stream (MOS-aware)."""
+) -> Searches[SignedPermutation]:
+    """The Eq. 10 optimal assignment for one stream (MOS-aware).
+
+    A search generator, like :func:`study_assignments`.
+    """
     model = PowerModel(stats, cap_model_for(geometry, cap_method))
-    result = simulated_annealing(
+    result = yield from complete_search(SearchProblem(
         model,
         model.n_lines,
         with_inversions=with_inversions,
@@ -363,9 +457,7 @@ def optimize_for_stream(
         rng=np.random.default_rng(seed),
         steps_per_temperature=sa_steps,
         checkpoint_dir=checkpoint_dir,
-    )
-    if not result.completed:
-        raise KeyboardInterrupt("assignment search interrupted")
+    ))
     return result.assignment
 
 

@@ -16,7 +16,7 @@ so the optimal search runs without them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -65,21 +65,21 @@ def run(
         },
     )
 
-    rows: List[ExperimentRow] = []
+    points = []
+    done: Dict[str, Dict[str, float]] = {}
     with sweep.interruptible():
         for branch in branch_probabilities:
-            row = ExperimentRow(label=f"branch={branch:.2f}")
             for geometry in arrays():
                 tag = f"{geometry.rows}x{geometry.cols}"
                 # Datagen runs unconditionally (outside the cached thunk)
-                # so a resumed sweep replays the same RNG sequence.
-                bits = program_counter_bits(
+                # so a resumed sweep replays the same RNG sequence; the
+                # points keep only the streams' statistics.
+                stats = BitStatistics.from_stream(program_counter_bits(
                     n_samples, geometry.n_tsvs, branch, rng
-                )
+                ))
 
-                def point(bits=bits, geometry=geometry):
-                    stats = BitStatistics.from_stream(bits)
-                    study = study_assignments(
+                def point(stats=stats, geometry=geometry):
+                    study = yield from study_assignments(
                         stats,
                         geometry,
                         methods=("optimal", "spiral"),
@@ -94,18 +94,28 @@ def run(
                         "spiral": study.reduction("spiral", "worst"),
                     }
 
-                values = sweep.compute(
+                points.append((
                     f"branch={branch:.2f}/{tag}", point,
-                    fingerprint={
+                    {
                         "experiment": "fig2", "branch": branch,
                         "rows": geometry.rows, "cols": geometry.cols,
                         "pitch": geometry.pitch, "radius": geometry.radius,
                         "fast": fast, "n_samples": n_samples, "seed": seed,
                     },
-                )
-                row.values[f"opt {tag}"] = values["opt"]
-                row.values[f"spiral {tag}"] = values["spiral"]
-            rows.append(row)
+                ))
+        done = sweep.compute_all(points)
+
+    rows: List[ExperimentRow] = []
+    for branch in branch_probabilities:
+        row = ExperimentRow(label=f"branch={branch:.2f}")
+        for geometry in arrays():
+            tag = f"{geometry.rows}x{geometry.cols}"
+            values = done.get(f"branch={branch:.2f}/{tag}")
+            if values is None:
+                return rows  # interrupted: the rows finished so far
+            row.values[f"opt {tag}"] = values["opt"]
+            row.values[f"spiral {tag}"] = values["spiral"]
+        rows.append(row)
     return rows
 
 

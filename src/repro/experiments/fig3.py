@@ -24,6 +24,8 @@ from repro.datagen.gaussian import gaussian_bit_stream
 from repro.experiments.common import (
     ExperimentRow,
     ExperimentSweep,
+    GridPoint,
+    PointSpec,
     format_table,
     study_assignments,
 )
@@ -63,20 +65,20 @@ def run(
         },
     )
 
-    rows: List[ExperimentRow] = []
+    points: List[GridPoint] = []
     with sweep.interruptible():
         for rho in rhos:
             for sigma in sigmas:
                 # Datagen runs unconditionally (outside the cached thunk)
-                # so a resumed sweep replays the same RNG sequence.
-                bits = gaussian_bit_stream(
+                # so a resumed sweep replays the same RNG sequence; the
+                # points keep only the streams' statistics.
+                stats = BitStatistics.from_stream(gaussian_bit_stream(
                     n_samples, WIDTH, sigma=sigma, rho=rho, rng=rng
-                )
+                ))
                 label = f"rho={rho:+.1f} sigma=2^{np.log2(sigma):.0f}"
 
-                def point(bits=bits):
-                    stats = BitStatistics.from_stream(bits)
-                    study = study_assignments(
+                def point(stats=stats):
+                    study = yield from study_assignments(
                         stats,
                         geometry,
                         methods=("optimal", "sawtooth", "spiral"),
@@ -92,20 +94,15 @@ def run(
                         "spiral": study.reduction("spiral"),
                     }
 
-                rows.append(
-                    ExperimentRow(
-                        label=label,
-                        values=sweep.compute(
-                            label, point,
-                            fingerprint={
-                                "experiment": "fig3", "rho": rho,
-                                "sigma": sigma, "fast": fast,
-                                "n_samples": n_samples, "seed": seed,
-                            },
-                        ),
-                    )
-                )
-    return rows
+                fingerprint = {
+                    "experiment": "fig3", "rho": rho, "sigma": sigma,
+                    "fast": fast, "n_samples": n_samples, "seed": seed,
+                }
+                points.append(GridPoint(
+                    PointSpec(label, label, fingerprint), point
+                ))
+        return sweep.rows(points)
+    return []  # interrupted while generating the points' data
 
 
 def main(fast: bool = False, checkpoint_dir: Optional[str] = None) -> str:

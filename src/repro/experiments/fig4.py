@@ -159,7 +159,7 @@ def points(
             spec = next(specs)
 
             def thunk(stats=stats, geometry=geometry, scenario=scenario):
-                study = study_assignments(
+                study = yield from study_assignments(
                     stats,
                     geometry,
                     methods=("optimal", "spiral"),
@@ -196,21 +196,11 @@ def run(
             "frame_size": frame_size, "seed": seed,
         },
     )
-    rows: List[ExperimentRow] = []
     with sweep.interruptible():
-        for point in points(
+        return sweep.rows(points(
             fast=fast, n_frames=n_frames, frame_size=frame_size, seed=seed
-        ):
-            rows.append(
-                ExperimentRow(
-                    label=point.spec.label,
-                    values=sweep.compute(
-                        point.spec.label, point.thunk,
-                        fingerprint=point.spec.fingerprint,
-                    ),
-                )
-            )
-    return rows
+        ))
+    return []  # interrupted while generating the points' data
 
 
 def main(fast: bool = False, checkpoint_dir: Optional[str] = None) -> str:

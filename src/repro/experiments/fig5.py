@@ -20,6 +20,7 @@ Expected shape:
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional
 
 import numpy as np
@@ -28,6 +29,8 @@ from repro.datagen import mems
 from repro.experiments.common import (
     ExperimentRow,
     ExperimentSweep,
+    GridPoint,
+    PointSpec,
     format_table,
     study_assignments,
 )
@@ -69,42 +72,34 @@ def run(
         SCENARIO, n_samples, rng
     )
 
-    rows: List[ExperimentRow] = []
-    with sweep.interruptible():
-        for label, bits in streams.items():
+    def point(bits):
+        stats = BitStatistics.from_stream(bits)
+        study = yield from study_assignments(
+            stats,
+            geometry,
+            methods=("optimal", "sawtooth", "spiral"),
+            mos_aware=True,
+            with_inversions=True,
+            baseline_samples=50 if fast else 200,
+            seed=seed,
+            sa_steps=6 * geometry.n_tsvs if fast else None,
+        )
+        return {
+            "optimal": study.reduction("optimal"),
+            "sawtooth": study.reduction("sawtooth"),
+            "spiral": study.reduction("spiral"),
+        }
 
-            def point(bits=bits):
-                stats = BitStatistics.from_stream(bits)
-                study = study_assignments(
-                    stats,
-                    geometry,
-                    methods=("optimal", "sawtooth", "spiral"),
-                    mos_aware=True,
-                    with_inversions=True,
-                    baseline_samples=50 if fast else 200,
-                    seed=seed,
-                    sa_steps=6 * geometry.n_tsvs if fast else None,
-                )
-                return {
-                    "optimal": study.reduction("optimal"),
-                    "sawtooth": study.reduction("sawtooth"),
-                    "spiral": study.reduction("spiral"),
-                }
-
-            rows.append(
-                ExperimentRow(
-                    label=label,
-                    values=sweep.compute(
-                        label, point,
-                        fingerprint={
-                            "experiment": "fig5", "stream": label,
-                            "fast": fast, "n_samples": n_samples,
-                            "seed": seed,
-                        },
-                    ),
-                )
-            )
-    return rows
+    return sweep.rows([
+        GridPoint(
+            PointSpec(label, label, {
+                "experiment": "fig5", "stream": label, "fast": fast,
+                "n_samples": n_samples, "seed": seed,
+            }),
+            functools.partial(point, bits),
+        )
+        for label, bits in streams.items()
+    ])
 
 
 def main(fast: bool = False, checkpoint_dir: Optional[str] = None) -> str:

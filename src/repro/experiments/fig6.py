@@ -34,6 +34,7 @@ from repro.coding.businvert import coded_bit_stream, coupling_invert_encode
 from repro.coding.correlator import correlate_words
 from repro.coding.gray import gray_encode_words
 from repro.core.assignment import AssignmentConstraints, SignedPermutation
+from repro.core.optimize import Searches
 from repro.datagen import images, mems
 from repro.datagen.random_stream import uniform_random_words
 from repro.datagen.util import (
@@ -106,10 +107,10 @@ def _study(
     seed: int = 2018,
     sa_steps: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
-) -> Dict[str, float]:
+) -> Searches[Dict[str, float]]:
     """Power [mW] of the random-mean baseline and the optimal assignment."""
     stats = BitStatistics.from_stream(bits)
-    optimal = optimize_for_stream(
+    optimal = yield from optimize_for_stream(
         stats, geometry, constraints=constraints, seed=seed,
         sa_steps=sa_steps, checkpoint_dir=checkpoint_dir,
     )
@@ -218,15 +219,17 @@ def points(
     coded_link = np.concatenate([link_bits, packet_flag[:, None]], axis=1)
 
     # --- the thunks ------------------------------------------------------------
-    def sensor_seq_point() -> Dict[str, float]:
+    def sensor_seq_point() -> Searches[Dict[str, float]]:
         return _study(seq_bits, a44, payload_bits=16, seed=seed,
                       sa_steps=sa_steps, checkpoint_dir=checkpoint_dir)
 
-    def sensor_mux_point() -> Dict[str, float]:
-        values = _study(mux_bits, a44, payload_bits=16, seed=seed,
-                        sa_steps=sa_steps, checkpoint_dir=checkpoint_dir)
+    def sensor_mux_point() -> Searches[Dict[str, float]]:
+        values = yield from _study(
+            mux_bits, a44, payload_bits=16, seed=seed, sa_steps=sa_steps,
+            checkpoint_dir=checkpoint_dir,
+        )
         values["gray"] = random_mean_power_mw(gray_bits, a44, payload_bits=16)
-        gray_opt = optimize_for_stream(
+        gray_opt = yield from optimize_for_stream(
             BitStatistics.from_stream(gray_neg_bits), a44, seed=seed,
             sa_steps=sa_steps,
             checkpoint_dir=_subdir(checkpoint_dir, "gray-opt"),
@@ -236,11 +239,13 @@ def points(
         )
         return values
 
-    def rgb_mux_point() -> Dict[str, float]:
-        values = _study(rgb_bits, a33, payload_bits=8, seed=seed,
-                        sa_steps=sa_steps, checkpoint_dir=checkpoint_dir)
+    def rgb_mux_point() -> Searches[Dict[str, float]]:
+        values = yield from _study(
+            rgb_bits, a33, payload_bits=8, seed=seed, sa_steps=sa_steps,
+            checkpoint_dir=checkpoint_dir,
+        )
         values["corr"] = random_mean_power_mw(corr_bits, a33, payload_bits=8)
-        corr_opt = optimize_for_stream(
+        corr_opt = yield from optimize_for_stream(
             BitStatistics.from_stream(corr_neg_bits), a33, seed=seed,
             sa_steps=sa_steps,
             checkpoint_dir=_subdir(checkpoint_dir, "corr-opt"),
@@ -250,16 +255,16 @@ def points(
         )
         return values
 
-    def coded_point() -> Dict[str, float]:
+    def coded_point() -> Searches[Dict[str, float]]:
         return _study(coded_link, a33, payload_bits=7, seed=seed,
                       sa_steps=sa_steps, checkpoint_dir=checkpoint_dir)
 
-    def footnote_point() -> Dict[str, float]:
+    def footnote_point() -> Searches[Dict[str, float]]:
         values = {
             "plain": random_mean_power_mw(rgb_bits, a33_large, payload_bits=8),
             "corr": random_mean_power_mw(corr_bits, a33_large, payload_bits=8),
         }
-        corr_opt_large = optimize_for_stream(
+        corr_opt_large = yield from optimize_for_stream(
             BitStatistics.from_stream(corr_neg_bits), a33_large,
             seed=seed, sa_steps=sa_steps, checkpoint_dir=checkpoint_dir,
         )
@@ -295,19 +300,11 @@ def run(
         "fig6", checkpoint_dir,
         fingerprint={"fast": fast, "n_block": n_block, "seed": seed},
     )
-    rows: List[ExperimentRow] = []
     with sweep.interruptible():
-        for point in points(fast=fast, n_block=n_block, seed=seed):
-            rows.append(
-                ExperimentRow(
-                    point.spec.label,
-                    sweep.compute(
-                        point.spec.name, point.thunk,
-                        fingerprint=point.spec.fingerprint,
-                    ),
-                )
-            )
-    return rows
+        return sweep.rows(
+            points(fast=fast, n_block=n_block, seed=seed), key="name"
+        )
+    return []  # interrupted while generating the points' data
 
 
 def reductions(rows: List[ExperimentRow]) -> List[ExperimentRow]:

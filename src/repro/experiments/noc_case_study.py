@@ -112,7 +112,7 @@ def points(
 
         def thunk(trace=workloads[spec.name]):
             traces = simulate_link_traces(topology, trace)
-            report = optimize_vertical_links(
+            report = yield from optimize_vertical_links(
                 traces,
                 sa_steps=sa_steps,
                 baseline_samples=15 if fast else 30,
@@ -142,19 +142,11 @@ def run(
         "noc", checkpoint_dir,
         fingerprint={"fast": fast, "n_packets": n_packets, "seed": seed},
     )
-    rows: List[ExperimentRow] = []
     with sweep.interruptible():
-        for point in points(fast=fast, n_packets=n_packets, seed=seed):
-            rows.append(
-                ExperimentRow(
-                    point.spec.label,
-                    sweep.compute(
-                        point.spec.label, point.thunk,
-                        fingerprint=point.spec.fingerprint,
-                    ),
-                )
-            )
-    return rows
+        return sweep.rows(
+            points(fast=fast, n_packets=n_packets, seed=seed)
+        )
+    return []  # interrupted while generating the points' data
 
 
 def main(fast: bool = False, checkpoint_dir: Optional[str] = None) -> str:

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.coding.cac import build_lat_codebook
 from repro.core.assignment import SignedPermutation
+from repro.core.optimize import drive_searches
 from repro.datagen.random_stream import uniform_random_words
 from repro.datagen.util import append_stable_lines, words_to_bits
 from repro.experiments.common import (
@@ -110,14 +111,6 @@ def run(
             )
         )
 
-    row("plain 3x3", [plain_bits], [None], 9)
-
-    optimal = optimize_for_stream(
-        BitStatistics.from_stream(plain_bits), geometry,
-        seed=seed, sa_steps=sa_steps,
-    )
-    row("assignment 3x3", [plain_bits], [optimal], 9)
-
     # --- LAT-CAC: two 4-bit groups on two 3x3 arrays -------------------------
     codebook = build_lat_codebook(geometry)
     low = payload & 0xF
@@ -126,15 +119,21 @@ def run(
         codebook.to_bits(codebook.encode(low)),
         codebook.to_bits(codebook.encode(high)),
     ]
-    row("LAT-CAC 2x(3x3)", cac_streams, [None, None], 18)
 
-    cac_assignments = [
+    # The three searches (plain stream, both coded groups) anneal together.
+    searches = [
         optimize_for_stream(
-            BitStatistics.from_stream(s), geometry, seed=seed,
+            BitStatistics.from_stream(bits), geometry, seed=seed,
             sa_steps=sa_steps,
         )
-        for s in cac_streams
+        for bits in [plain_bits] + cac_streams
     ]
+    done = dict(drive_searches(searches))
+    optimal, *cac_assignments = [done[index] for index in range(len(searches))]
+
+    row("plain 3x3", [plain_bits], [None], 9)
+    row("assignment 3x3", [plain_bits], [optimal], 9)
+    row("LAT-CAC 2x(3x3)", cac_streams, [None, None], 18)
     row("LAT-CAC + assign.", cac_streams, cac_assignments, 18)
     return rows
 

@@ -195,7 +195,9 @@ class CapacitanceExtractor:
         logged, evicted and recomputed rather than crashing the extraction."""
         n = self.geometry.n_tsvs
         try:
-            with np.load(path) as bundle:
+            # Our own handle: np.load leaves the file it opened unclosed
+            # when it raises on a truncated bundle.
+            with open(path, "rb") as handle, np.load(handle) as bundle:
                 if "matrix" not in bundle or "sha256" not in bundle:
                     self._evict(path, "missing bundle fields")
                     return None

@@ -196,14 +196,12 @@ class TestDeltaWalk:
         """A state resynced from scratch — rebuilt from its assignment —
         has the same power, bit for bit (what resuming an annealing
         checkpoint relies on)."""
-        model = make_model(N, 8, True)
-        state = PopulationState(
-            CompiledPowerModel.compile(model), [SignedPermutation.identity(N)]
-        )
+        compiled = CompiledPowerModel.compile(make_model(N, 8, True))
+        state = PopulationState(compiled, [SignedPermutation.identity(N)])
         state.swap(0, 0, 3)
         state.toggle(0, 2)
         state.swap(0, 1, 2)
-        rebuilt = PopulationState(state.compiled, [state.assignment(0)])
+        rebuilt = PopulationState(compiled, [state.assignment(0)])
         assert rebuilt.powers[0] == state.powers[0]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import SignedPermutation
+from repro.core.optimize import run_searches
 from repro.experiments import fig6
 from repro.experiments.common import (
     circuit_power_mw,
@@ -121,17 +122,17 @@ class TestStudyOptions:
         rng = np.random.default_rng(6)
         bits = (rng.random((300, 4)) < 0.5).astype(np.uint8)
         stats = BitStatistics.from_stream(bits)
-        study = study_assignments(
+        study = run_searches(study_assignments(
             stats, geometry, methods=("identity",), cap_method="compact",
             baseline_samples=10,
-        )
+        ))
         assert "identity" in study.powers
 
     def test_optimize_for_stream_returns_valid_assignment(self, geometry):
         rng = np.random.default_rng(7)
         bits = (rng.random((300, 4)) < 0.5).astype(np.uint8)
         stats = BitStatistics.from_stream(bits)
-        assignment = optimize_for_stream(
+        assignment = run_searches(optimize_for_stream(
             stats, geometry, cap_method="compact", sa_steps=30
-        )
+        ))
         assert sorted(assignment.line_of_bit) == [0, 1, 2, 3]

@@ -8,6 +8,7 @@ the full-size versions.
 import numpy as np
 import pytest
 
+from repro.core.optimize import run_searches
 from repro.experiments import (
     ablations,
     fig2,
@@ -44,7 +45,7 @@ class TestCommon:
         stats = BitStatistics.from_stream(bits)
         geom = TSVArrayGeometry(2, 2, 8e-6, 2e-6)
         with pytest.raises(ValueError):
-            study_assignments(stats, geom, methods=("magic",))
+            run_searches(study_assignments(stats, geom, methods=("magic",)))
 
 
 @pytest.fixture(scope="module")

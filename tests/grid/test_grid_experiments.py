@@ -63,7 +63,11 @@ def test_chaos_fleet_rows_agree(tmp_path, monkeypatch):
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,
         ))
-    codes = [worker.wait(timeout=120) for worker in workers]
+    # communicate() drains and closes each worker's pipes, so a chatty
+    # worker can neither block on a full pipe nor leak its file handles.
+    for worker in workers:
+        worker.communicate(timeout=120)
+    codes = [worker.returncode for worker in workers]
     assert codes[0] != 0  # the chaos victim died hard
     queue = JobQueue(tmp_path)
     store = ResultStore(tmp_path / "results.sqlite")

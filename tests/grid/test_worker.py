@@ -107,7 +107,9 @@ class TestHardKill:
         """The chaos contract: kill one worker mid-job, lose nothing."""
         jobs = _plan(tmp_path, n_points=3)
         crasher = _spawn_worker(tmp_path, index=0, faults="worker_crash(0)")
-        assert crasher.wait(timeout=30) != 0  # died on the injected fault
+        # communicate() drains and closes the pipes (wait() would leak them).
+        crasher.communicate(timeout=30)
+        assert crasher.returncode != 0  # died on the injected fault
         queue = JobQueue(tmp_path)
         assert queue.counts()["running"] == 1
         monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)

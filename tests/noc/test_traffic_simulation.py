@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.optimize import run_searches
 from repro.noc.power import optimize_vertical_links
 from repro.noc.simulation import simulate_link_traces
 from repro.noc.topology import MeshTopology
@@ -135,10 +136,10 @@ class TestVerticalPower:
             flits_per_packet=12, rng=rng,
         )
         traces = simulate_link_traces(topo, trace)
-        report = optimize_vertical_links(
+        report = run_searches(optimize_vertical_links(
             traces, sa_steps=40, baseline_samples=15,
             rng=np.random.default_rng(0),
-        )
+        ))
         assert report.n_links > 0
         # The assignment is free and must pay; combining with the code
         # must beat the code alone.
@@ -151,4 +152,4 @@ class TestVerticalPower:
         trace = uniform_traffic(flat, 10, rng=np.random.default_rng(11))
         traces = simulate_link_traces(flat, trace)
         with pytest.raises(ValueError):
-            optimize_vertical_links(traces)
+            run_searches(optimize_vertical_links(traces))

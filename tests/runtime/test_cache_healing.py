@@ -1,5 +1,8 @@
 """Self-healing extraction cache under injected corruption."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,20 @@ def test_cache_corrupt_fault_heals_transparently(geom, tmp_path, caplog):
     with caplog.at_level("WARNING", logger="repro.tsv.extractor"):
         healed = fdm_extractor(geom, tmp_path / "hurt").extract()
     assert "evicting unusable cache entry" in caplog.text
+    np.testing.assert_array_equal(healed, reference)
+
+
+def test_truncated_entry_leaks_no_file_handle(geom, tmp_path):
+    """Evicting a truncated bundle closes the file it read: no
+    ResourceWarning, so the path holds under ``-W error::ResourceWarning``."""
+    reference = fdm_extractor(geom, tmp_path).extract()
+    entry = next(tmp_path.glob("cap_*.npz"))
+    entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        healed = fdm_extractor(geom, tmp_path).extract()
+        gc.collect()
+    assert [w for w in caught if w.category is ResourceWarning] == []
     np.testing.assert_array_equal(healed, reference)
 
 

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.optimize import SearchProblem
 from repro.experiments import fig3
 from repro.experiments.common import ExperimentSweep
 from repro.runtime.faults import inject_faults
+
+from .conftest import make_model
 
 
 class TestExperimentSweepUnit:
@@ -52,6 +55,29 @@ class TestExperimentSweepUnit:
         assert resumed._points == {
             "a": {"fingerprint": None, "values": {"value": 1.0}}
         }
+
+    def test_batch_keeps_points_finished_before_an_interrupt(self, tmp_path):
+        """Generator points anneal together; one that is interrupted
+        drops only itself, its wave-mates still land in the checkpoint."""
+        model = make_model(4, seed=1)
+
+        def point(seed, interrupt=False):
+            [result] = yield [
+                SearchProblem(model, 4, rng=np.random.default_rng(seed))
+            ]
+            if interrupt:
+                raise KeyboardInterrupt
+            return {"power": result.power}
+
+        sweep = ExperimentSweep("unit", tmp_path)
+        done = sweep.compute_all([
+            ("a", lambda: point(1), None),
+            ("b", lambda: point(2, interrupt=True), None),
+            ("c", lambda: {"value": 3.0}, None),
+        ])
+        assert sweep.interrupted
+        assert set(done) == {"a", "c"}
+        assert set(ExperimentSweep("unit", tmp_path)._points) == {"a", "c"}
 
     def test_no_checkpoint_dir_is_stateless(self):
         sweep = ExperimentSweep("unit")

@@ -105,10 +105,12 @@ class TestRobustness:
     def test_optimized_assignment_is_variation_tolerant(self, geometry, stats):
         """The design-time optimum must keep most of its gain across
         geometry variation (the structural argument of the module doc)."""
+        from repro.core.optimize import run_searches
         from repro.experiments.common import optimize_for_stream
 
-        assignment = optimize_for_stream(stats, geometry,
-                                         cap_method="compact3d")
+        assignment = run_searches(optimize_for_stream(
+            stats, geometry, cap_method="compact3d"
+        ))
         report = assignment_robustness(
             stats, geometry, assignment, n_samples=15,
             rng=np.random.default_rng(5),

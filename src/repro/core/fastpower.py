@@ -29,10 +29,9 @@ Three evaluation tiers are offered:
   vectorized ``O(k n^2)`` pass (random baselines, exhaustive enumeration);
 * :class:`PopulationState` — the mutable search state of ``k >= 1``
   chains, of one model or of several models of the same size, whose
-  :meth:`~PopulationState.delta_swaps` /
-  :meth:`~PopulationState.delta_toggles` price whole batches of candidate
-  moves (on any mix of chains) against the current states in one set of
-  vectorized operations.
+  :meth:`~PopulationState.delta_moves` prices a whole batch of candidate
+  moves (any mix of chains, swaps and toggles) against the current states
+  in one set of vectorized operations.
 
 :class:`PopulationState` maintains per-line aggregate sums (refreshed in
 ``O(n^2)`` per row whenever moves are *applied*, for any number of rows
@@ -200,25 +199,25 @@ class PopulationState:
     matrix, its exact power, and per-line aggregate sums that make
     candidate moves cheap to price:
 
-    * ``delta_toggles`` — an inversion toggle of line ``l`` only rescales
-      row/column ``l`` of the coupling matrix and shifts ``e_l``, so with
-      the row/column sums of ``t*C`` and ``t*dC`` and the ``s``-weighted
-      column sums of ``dC`` kept up to date, its cost change is a couple of
-      per-line lookups: **O(1)** per candidate.
-    * ``delta_swaps`` — a bit-pair swap conjugates the coupling matrix by a
-      transposition and exchanges two line payloads; re-indexing the swapped
-      sum against the original shows the change is a handful of length-``n``
-      inner products against the capacitance *row differences*: **O(n)** per
+    * an inversion toggle of line ``l`` only rescales row/column ``l`` of
+      the coupling matrix and shifts ``e_l``, so with the row/column sums
+      of ``t*C`` and ``t*dC`` and the ``s``-weighted column sums of ``dC``
+      kept up to date, its cost change is a couple of per-line lookups:
+      **O(1)** per candidate.
+    * a bit-pair swap conjugates the coupling matrix by a transposition
+      and exchanges two line payloads; re-indexing the swapped sum against
+      the original shows the change is a handful of length-``n`` inner
+      products against the capacitance *row differences*: **O(n)** per
       candidate.
 
     Rows may belong to different models of the same size (``compiled`` is
     one model for every row, or one per row), so the chains of many
-    search problems share a population. Both kernels take a mixed-row
-    batch (``chains[i]`` prices move ``i``) and cost one set of NumPy
-    dispatches, so lockstep annealing prices the proposal windows of every
-    chain in one call. Every per-row quantity is computed with the same
-    floating-point operation sequence whatever the batch, so a chain's
-    deltas do not depend on which other chains share the population.
+    search problems share a population. :meth:`delta_moves` prices a
+    mixed-row, mixed-kind batch (``chains[i]`` prices move ``i``) with one
+    set of NumPy dispatches, so lockstep annealing prices the proposal
+    windows of every chain in one call. Every per-row quantity is computed
+    with the same floating-point operation sequence whatever the batch, so
+    a chain's deltas do not depend on what else shares the batch.
 
     Applying a move (:meth:`apply_toggle`, :meth:`apply_swap`) updates the
     row's assignment and line payloads only; :meth:`refresh` then rebuilds
@@ -236,7 +235,7 @@ class PopulationState:
         "n_lines", "n_chains", "line_of_bit", "bit_of_line",
         "inverted", "sw", "p", "eps", "powers", "_tog_lin", "_tc_sum",
         "_all", "_agg", "_capdc", "_flat_lob", "_flat_lines", "_flat_all",
-        "_flat_agg", "_flat_diag",
+        "_flat_agg", "_flat_diag", "_line_all",
     )
 
     def __init__(
@@ -282,6 +281,7 @@ class PopulationState:
         self._flat_lob = self.line_of_bit.reshape(-1)
         self._flat_lines = lines.reshape(5, -1)
         self._flat_all = self._all.reshape(4, -1, n)
+        self._line_all = self._flat_all.transpose(1, 0, 2)
         self._flat_agg = self._agg.reshape(4, -1)
         self._flat_diag = diag.reshape(2, -1)
         for chain, (model, assignment) in enumerate(zip(models, assignments)):
@@ -321,8 +321,8 @@ class PopulationState:
     def assignment(self, chain: int) -> SignedPermutation:
         """Chain ``chain``'s current assignment (immutable snapshot)."""
         return SignedPermutation(
-            tuple(int(x) for x in self.line_of_bit[chain]),
-            tuple(bool(x) for x in self.inverted[chain]),
+            tuple(self.line_of_bit[chain].tolist()),
+            tuple(self.inverted[chain].tolist()),
         )
 
     # -- aggregate maintenance -------------------------------------------------
@@ -346,14 +346,15 @@ class PopulationState:
         # constant dC; one broadcast multiply with t then yields both t*C
         # and t*dC.
         capdc = self._capdc[:, rows]
-        cap, delta_c = capdc
+        cap, delta_c = capdc[0], capdc[1]
         eps = self.eps[rows]
         sw = self.sw[rows][:, None, :]               # (r, 1, n)
         np.multiply(delta_c, eps[:, :, None] + eps[:, None, :], out=cap)
         cap += c_r
         tcd = t * capdc
-        row_sums = tcd.sum(axis=3)
-        col_sums = tcd.sum(axis=2)
+        # np.add.reduce is what ndarray.sum runs, without its wrapper.
+        row_sums = np.add.reduce(tcd, axis=3)
+        col_sums = np.add.reduce(tcd, axis=2)
         # ``w_l = (dC @ e)_l`` and ``sd_l = (s @ dC)_l`` feed the
         # self-switching term of the swap kernel; the constant row sums
         # occupy rows 0/1 of the aggregate table.
@@ -363,8 +364,8 @@ class PopulationState:
         self._tog_lin[rows] = sd + row_sums[1] + col_sums[1]
         self._tc_sum[rows] = row_sums[0] + col_sums[0]
         self.powers[rows] = (
-            np.matmul(sw, cap.sum(axis=2)[:, :, None])[:, 0, 0]
-            - tcd[0].reshape(len(eps), -1).sum(axis=1)
+            np.matmul(sw, np.add.reduce(cap, axis=2)[:, :, None])[:, 0, 0]
+            - np.add.reduce(tcd[0].reshape(len(eps), -1), axis=1)
         )
 
     # -- move pricing (state unchanged) ----------------------------------------
@@ -382,46 +383,62 @@ class PopulationState:
         lines = self._flat_lob[base + bits]
         return lines, base + lines
 
-    def delta_toggles(
-        self, chains: np.ndarray, bits: np.ndarray
+    def delta_moves(
+        self, chains: np.ndarray, is_toggle: Optional[np.ndarray],
+        bits: Optional[np.ndarray], pairs: Optional[np.ndarray],
     ) -> np.ndarray:
-        """Toggle deltas for a mixed-chain batch: ``bits[i]`` on ``chains[i]``.
+        """Deltas of a mixed-chain, mixed-kind batch: move ``i`` on
+        ``chains[i]`` toggles ``bits[i]`` where ``is_toggle[i]``, else swaps
+        ``pairs[i]``. A batch of one kind passes ``None`` for the other
+        kind's moves (``is_toggle`` is then not read); in a mixed batch
+        every ``bits[i]`` must be a valid bit.
 
         Returns the ``(B,)`` array of power deltas, all priced against the
-        current states. ``O(1)`` per candidate: toggling line ``l`` negates
-        row and column ``l`` of ``t`` and moves ``e_l`` to ``e'_l``, so
+        current states. Every delta runs its own kind's operation sequence,
+        so it equals :meth:`delta_toggles` / :meth:`delta_swaps` bit for
+        bit. A toggle of line ``l`` moves ``e_l`` to ``e'_l``:
 
         ``delta = (e' - e)(s_l D_l + sd_l + tdr_l + tdc_l) + 2(tcr_l + tcc_l)``
 
         with ``D`` the ``dC`` row sums and ``tdr/tdc/tcr/tcc`` the
-        maintained row/column sums of ``t*dC`` and ``t*C``.
+        maintained row/column sums of ``t*dC`` and ``t*C``. That is cheap
+        enough that a mixed batch prices every proposal as a toggle, then
+        overwrites the swaps.
         """
+        if pairs is None:
+            return self._toggle_deltas(chains, bits)
+        if bits is None:
+            return self._swap_deltas(chains, pairs)
+        deltas = self._toggle_deltas(chains, bits)
+        swaps = (~np.asarray(is_toggle)).nonzero()[0]
+        deltas[swaps] = self._swap_deltas(
+            np.asarray(chains)[swaps], np.asarray(pairs)[swaps]
+        )
+        return deltas
+
+    def _toggle_deltas(self, chains: np.ndarray, bits: np.ndarray) -> np.ndarray:
         _, at = self._locate(chains, np.asarray(bits, dtype=np.intp))
-        sw, eps, p, tog_lin, tc_sum = self._flat_lines.take(at, axis=1)
-        de = ((1.0 - p) - 0.5) - eps
-        return de * (sw * self._flat_agg[1][at] + tog_lin) + 2.0 * tc_sum
+        lines = self._flat_lines.take(at, axis=1)  # [sw, eps, p, tog_lin, tc_sum]
+        de = ((1.0 - lines[2]) - 0.5) - lines[1]
+        return (
+            de * (lines[0] * self._flat_agg[1].take(at) + lines[3])
+            + 2.0 * lines[4]
+        )
 
-    def delta_swaps(
-        self, chains: np.ndarray, pairs: np.ndarray
-    ) -> np.ndarray:
-        """Swap deltas for a mixed-chain batch: ``pairs[i]`` on ``chains[i]``.
-
-        Returns the ``(B,)`` array of power deltas, all priced against the
-        current states. ``O(n)`` per candidate: substituting the
-        transposition into the swapped power sum and re-indexing leaves
-        inner products of the ``t`` rows/columns at the two lines against
-        the capacitance row differences ``C_R[lb]-C_R[la]`` and
-        ``dC[lb]-dC[la]`` (symmetry makes the column differences the same
-        vectors), plus closed-form corrections at the four entries the
-        transposition maps onto themselves.
-        """
+    def _swap_deltas(self, chains: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """Swap deltas: inner products of the ``t`` rows/columns at lines
+        ``la, lb`` against the capacitance row differences
+        ``C_R[lb]-C_R[la]`` and ``dC[lb]-dC[la]`` (symmetry makes the column
+        differences the same vectors), plus closed-form corrections at the
+        four entries the transposition maps onto themselves."""
         ll, at = self._locate(chains, np.asarray(pairs, dtype=np.intp).T)
         lb = ll[1]
-        s_ab = self._flat_lines[0][at]           # (2, B): [la, lb]
-        e_ab = self._flat_lines[1][at]
+        se_ab = self._flat_lines[:2].take(at, axis=1)  # [sw, eps] x [la, lb]
+        s_ab, e_ab = se_ab[0], se_ab[1]
         e_a, e_b = e_ab[0], e_ab[1]
-        # One gather of [C_R, dC, t, t^T] rows at both lines.
-        gathered = self._flat_all[:, at, :]      # (4, 2, B, n)
+        # One gather of [C_R, dC, t, t^T] rows at both lines, in the
+        # (2, B, 4, n) memory order the einsum's summation order assumes.
+        gathered = self._line_all.take(at, axis=0).transpose(2, 0, 1, 3)
         rows = gathered[:2]                      # [cr/dc, a/b]
         # Row differences of [C_R, dC]; symmetry makes them the column
         # differences too.
@@ -431,7 +448,7 @@ class PopulationState:
         # (a population of one broadcasts its eps row).
         diff[0] += diff[1] * (
             self.eps[0] if self.n_chains == 1
-            else self.eps[np.asarray(chains, dtype=np.intp)]
+            else self.eps.take(chains, axis=0)
         )
         x_dd = diff
         # Rows and columns of t at both lines against x and dd: all eight
@@ -444,28 +461,38 @@ class PopulationState:
         # inner products counted for them.
         cross = self._flat_all[:, at[0], lb]     # (4, B): C_R/dC/t/t^T
         cd_g = cross[:2]                         # at (la, lb)
-        diag_g = self._flat_diag[:, at]                      # (2, 2, B)
-        diag_sum = diag_g.sum(axis=1) - 2.0 * cd_g           # (2, B)
+        diag_g = self._flat_diag.take(at, axis=1)            # (2, 2, B)
+        diag_sum = diag_g[:, 0] + diag_g[:, 1] - 2.0 * cd_g  # (2, B)
         t_cross = cross[2] + cross[3]                        # t_ab + t_ba
         eps_sum = e_a + e_b
-        # Change of the coupling term sum(t * C).
+        # Change of the coupling term sum(t * C); e_prods holds e_a and
+        # e_b times the (a, dd) and (b, dd) products.
+        e_prods = e_ab * prods[:, 1]
         coupling = (
-            prods[0, 0] + e_a * prods[0, 1]
-            - prods[1, 0] - e_b * prods[1, 1]
+            prods[0, 0] + e_prods[0] - prods[1, 0] - e_prods[1]
             - t_cross * (diag_sum[0] + diag_sum[1] * eps_sum)
         )
         # Change of the self term s . R with R the capacitance row totals:
         # only the la/lb payload exchange and the e-shift of w matter.
         agg_g = self._flat_agg.take(at, axis=1)  # (4, 2, B)
         aggd = agg_g[:, 0] - agg_g[:, 1]
-        ds = s_ab[1] - s_ab[0]
-        de = e_b - e_a
+        dse = se_ab[:, 1] - se_ab[:, 0]
+        ds, de = dse[0], dse[1]
+        s_e = s_ab * e_ab
         self_term = (
             ds * (aggd[0] + aggd[2])
-            + aggd[1] * (s_ab[1] * e_b - s_ab[0] * e_a)
+            + aggd[1] * (s_e[1] - s_e[0])
             + de * (aggd[3] + ds * diag_sum[1])
         )
         return self_term - coupling
+
+    def delta_toggles(self, chains: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """:meth:`delta_moves` of toggles only: ``bits[i]`` on ``chains[i]``."""
+        return self.delta_moves(chains, None, bits, None)
+
+    def delta_swaps(self, chains: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """:meth:`delta_moves` of swaps only: ``pairs[i]`` on ``chains[i]``."""
+        return self.delta_moves(chains, None, None, pairs)
 
     # -- move application ------------------------------------------------------
 
@@ -551,26 +578,27 @@ class ScalarPricer:
     def assignment(self, row: int) -> SignedPermutation:
         return self._rows[row]
 
+    def delta_moves(
+        self, rows: np.ndarray, is_toggle: Optional[np.ndarray],
+        bits: Optional[np.ndarray], pairs: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """:meth:`PopulationState.delta_moves` with one cost call per
+        proposal, each priced with its own move only."""
+        deltas = np.empty(len(rows))
+        for i, row in enumerate(rows):
+            current = self._rows[row]
+            if pairs is None or (bits is not None and is_toggle[i]):
+                candidate = current.with_toggled_inversion(int(bits[i]))
+            else:
+                candidate = current.with_swapped_bits(*map(int, pairs[i]))
+            deltas[i] = self.costs[row](candidate) - self.powers[row]
+        return deltas
+
     def delta_toggles(self, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        return self._deltas(rows, [
-            self._rows[row].with_toggled_inversion(int(bit))
-            for row, bit in zip(rows, bits)
-        ])
+        return self.delta_moves(rows, None, bits, None)
 
     def delta_swaps(self, rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        return self._deltas(rows, [
-            self._rows[row].with_swapped_bits(int(a), int(b))
-            for row, (a, b) in zip(rows, pairs)
-        ])
-
-    def _deltas(self, rows: np.ndarray, candidates: list) -> np.ndarray:
-        return np.array(
-            [
-                self.costs[r](c) - self.powers[r]
-                for r, c in zip(rows, candidates)
-            ],
-            dtype=float,
-        )
+        return self.delta_moves(rows, None, None, pairs)
 
     def apply_toggle(self, row: int, bit: int) -> None:
         self._set(row, self._rows[row].with_toggled_inversion(bit))
@@ -649,6 +677,13 @@ REPRO_SIGNATURES = {
     "PopulationState": {
         "compiled": "CompiledPowerModel",
         "assignments": "any",
+    },
+    "PopulationState.delta_moves": {
+        "chains": "(N,) dimensionless",
+        "is_toggle": "any",
+        "bits": "any",
+        "pairs": "any",
+        "return": "(N,) farad",
     },
     "PopulationState.delta_toggles": {
         "chains": "(N,) dimensionless",

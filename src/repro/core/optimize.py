@@ -31,8 +31,8 @@ shuffles, and the best accepted proposal of each window is committed.
 There is one engine, :func:`anneal`: it advances every chain of every
 problem in lockstep. Chains whose pricers can be shared — power models of
 the same size, or generic callables — form one population; every
-pricing round prices their outstanding proposal windows with one
-``delta_toggles`` and one ``delta_swaps`` call, applies each chain's
+pricing round prices their outstanding proposal windows, toggles and
+swaps alike, with one ``delta_moves`` call, applies each chain's
 committed move and rebuilds all committed rows with one stacked refresh
 (see :func:`_pricing`). A power model is priced by the compiled
 :class:`~repro.core.fastpower.PopulationState` kernels, a generic
@@ -360,15 +360,15 @@ def _draw_proposals(
     batch: int,
     free: np.ndarray,
     invertible: np.ndarray,
-) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray],
-           Optional[np.ndarray], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pre-draw a batch of annealing proposals and acceptance uniforms.
 
-    Returns ``(use_toggle, toggle_bits, swap_a, swap_b, accept_u)``, each of
-    length ``batch`` (the move arrays are ``None`` when that move type is
-    unavailable). The draw order is fixed and does not depend on which
-    proposals end up being used, so a chain's proposal sequence is a pure
-    function of its generator state, whatever the pricing.
+    Returns ``(use_toggle, toggle_bits, pairs, accept_u)``: every proposal
+    has a toggle bit and a ``(batch, 2)`` swap pair, and ``use_toggle``
+    says which one it is (a move type that is unavailable is never used;
+    its array holds zeros). The draw order is fixed and does not depend
+    on which proposals end up being used, so a chain's proposal sequence
+    is a pure function of its generator state, whatever the pricing.
     """
     can_swap = len(free) >= 2
     can_toggle = len(invertible) > 0
@@ -380,23 +380,19 @@ def _draw_proposals(
         use_toggle = np.zeros(batch, dtype=bool)
     toggle_bits = (
         invertible[rng.integers(0, len(invertible), batch)]
-        if can_toggle else None
+        if can_toggle else np.zeros(batch, dtype=np.intp)
     )
     if can_swap:
         first = rng.integers(0, len(free), batch)
         second = rng.integers(0, len(free) - 1, batch)
         # Uniform ordered pair without replacement: shift the second draw
         # past the first index.
-        second = second + (second >= first)
-        swap_a, swap_b = free[first], free[second]
+        second += second >= first
+        pairs = free.take(np.array((first, second))).T
     else:
-        swap_a = swap_b = None
+        pairs = np.zeros((batch, 2), dtype=np.intp)
     accept_u = rng.random(batch)
-    return use_toggle, toggle_bits, swap_a, swap_b, accept_u
-
-
-def _joined(parts: list) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return use_toggle, toggle_bits, pairs, accept_u
 
 
 @dataclass(frozen=True)
@@ -614,19 +610,18 @@ class _Chain:
     """Schedule position and window cursor of one annealing chain.
 
     Holds what a sequential chain would keep in local variables — level,
-    temperature, the level's pre-drawn proposals partitioned by move type,
-    the window cursor (offset/horizon/accepted) — so the lockstep driver
+    temperature, the level's pre-drawn proposals and thresholds, the
+    window cursor (offset/horizon/accepted) — so the lockstep driver
     can suspend a chain between pricing rounds exactly where a chain run
     alone would be.
     """
 
     __slots__ = (
-        "search", "index", "name", "rng", "pricer", "row", "rows",
-        "current", "best", "best_power", "current_power", "evaluations",
+        "search", "index", "name", "rng", "pricer", "row", "current",
+        "best", "best_power", "current_power", "evaluations",
         "temperature", "initial_temperature", "floor", "level", "done",
-        "in_level", "boundary", "use_toggle", "toggle_bits", "swap_a",
-        "swap_b", "thresholds", "tog_idx", "sw_idx", "tog_bits_lvl",
-        "sw_pairs_lvl", "offset", "horizon", "accepted", "result", "error",
+        "in_level", "boundary", "use_toggle", "toggle_bits", "pairs",
+        "thresholds", "offset", "horizon", "accepted", "result", "error",
     )
 
     def __init__(
@@ -764,7 +759,6 @@ def _lockstep(running: List[_Chain]) -> None:
         for row, chain in enumerate(group):
             chain.pricer = pricer
             chain.row = row
-            chain.rows = np.full(chain.search.steps, row, dtype=np.intp)
             chain.current_power = float(pricer.powers[row])
             if chain.best_power is None:
                 chain.best_power = chain.current_power
@@ -822,52 +816,39 @@ def _round(pricer: Any, members: List[_Chain]) -> None:
 
 
 def _price_round(pricer: Any, running: List[_Chain]) -> List[np.ndarray]:
-    """Every running chain's next window(s), priced with one
-    ``delta_toggles`` and one ``delta_swaps`` call; returns each chain's
-    deltas in proposal order."""
-    spans = []
-    tog_rows: list = []
-    tog_bits: list = []
-    sw_rows: list = []
-    sw_pairs: list = []
+    """Every running chain's next window(s), toggles and swaps alike,
+    priced with one ``delta_moves`` call; returns each chain's deltas in
+    proposal order.
+
+    A chain prices ``horizon`` windows from its offset. On a pricer that
+    may cover several windows, a round that would leave less than one
+    window of the level unpriced prices through to the level's end: the
+    scan still commits in the first window holding an accepted proposal,
+    so no decision changes, but the lone tail needs no round of its own.
+    """
+    tail = _PROPOSAL_BATCH if pricer.max_windows > 1 else 0
+    parts = []
     for chain in running:
-        end = min(
-            chain.offset + chain.horizon * _PROPOSAL_BATCH, chain.search.steps
+        steps = chain.search.steps
+        end = chain.offset + chain.horizon * _PROPOSAL_BATCH
+        window = slice(chain.offset, steps if end > steps - tail else end)
+        parts.append(
+            (chain.use_toggle[window], chain.toggle_bits[window],
+             chain.pairs[window])
         )
-        t_lo, t_hi = chain.tog_idx.searchsorted((chain.offset, end))
-        s_lo, s_hi = chain.sw_idx.searchsorted((chain.offset, end))
-        spans.append((chain, end, t_lo, t_hi, s_lo, s_hi))
-        if t_hi > t_lo:
-            tog_rows.append(chain.rows[:t_hi - t_lo])
-            tog_bits.append(chain.tog_bits_lvl[t_lo:t_hi])
-        if s_hi > s_lo:
-            sw_rows.append(chain.rows[:s_hi - s_lo])
-            sw_pairs.append(chain.sw_pairs_lvl[s_lo:s_hi])
-    tog_deltas = (
-        pricer.delta_toggles(_joined(tog_rows), _joined(tog_bits))
-        if tog_rows else None
+    is_toggle, bits, pairs = (
+        parts[0] if len(parts) == 1
+        else [np.concatenate(column) for column in zip(*parts)]
     )
-    sw_deltas = (
-        pricer.delta_swaps(_joined(sw_rows), _joined(sw_pairs))
-        if sw_rows else None
+    lengths = [len(part[0]) for part in parts]
+    deltas = pricer.delta_moves(
+        np.array([chain.row for chain in running]).repeat(lengths),
+        is_toggle,
+        bits if any(chain.search.can_toggle for chain in running) else None,
+        pairs if any(chain.search.can_swap for chain in running) else None,
     )
-    priced = []
-    tog_off = 0
-    sw_off = 0
-    for chain, end, t_lo, t_hi, s_lo, s_hi in spans:
-        deltas = np.empty(end - chain.offset)
-        if t_hi > t_lo:
-            deltas[chain.tog_idx[t_lo:t_hi] - chain.offset] = (
-                tog_deltas[tog_off:tog_off + (t_hi - t_lo)]
-            )
-            tog_off += t_hi - t_lo
-        if s_hi > s_lo:
-            deltas[chain.sw_idx[s_lo:s_hi] - chain.offset] = (
-                sw_deltas[sw_off:sw_off + (s_hi - s_lo)]
-            )
-            sw_off += s_hi - s_lo
-        priced.append(deltas)
-    return priced
+    starts = list(itertools.accumulate(lengths, initial=0))
+    return [deltas[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
 def _scan(chain: _Chain, pricer: Any, deltas: np.ndarray) -> bool:
@@ -876,10 +857,8 @@ def _scan(chain: _Chain, pricer: Any, deltas: np.ndarray) -> bool:
     row), else consume them all and widen the horizon (False)."""
     offset = chain.offset
     span = len(deltas)
-    plateau = _PLATEAU_REL_TOL * abs(chain.current_power)
-    accept = (deltas <= chain.thresholds[offset:offset + span]) & (
-        np.abs(deltas) > plateau
-    )
+    accept = deltas <= chain.thresholds[offset:offset + span]
+    accept &= np.abs(deltas) > _PLATEAU_REL_TOL * abs(chain.current_power)
     hits = accept.nonzero()[0]
     if not len(hits):
         chain.evaluations += span
@@ -889,18 +868,17 @@ def _scan(chain: _Chain, pricer: Any, deltas: np.ndarray) -> bool:
         return False
     # The first window holding an accepted proposal commits its best one.
     woff = int(hits[0]) // _PROPOSAL_BATCH * _PROPOSAL_BATCH
-    wlen = min(_PROPOSAL_BATCH, span - woff)
-    wdel = np.where(accept[woff:woff + wlen], deltas[woff:woff + wlen], np.inf)
-    idx = offset + woff + int(np.argmin(wdel))
+    wend = min(woff + _PROPOSAL_BATCH, span)
+    idx = offset + woff + int(
+        np.where(accept[woff:wend], deltas[woff:wend], np.inf).argmin()
+    )
     if chain.use_toggle[idx]:
         pricer.apply_toggle(chain.row, int(chain.toggle_bits[idx]))
     else:
-        pricer.apply_swap(
-            chain.row, int(chain.swap_a[idx]), int(chain.swap_b[idx])
-        )
+        pricer.apply_swap(chain.row, *chain.pairs[idx].tolist())
     chain.accepted += 1
-    chain.evaluations += woff + wlen
-    chain.offset += woff + wlen
+    chain.evaluations += wend
+    chain.offset += wend
     chain.horizon = 1
     return True
 
@@ -950,7 +928,9 @@ class _Search:
         )
         self.free = np.asarray(free, dtype=np.intp)
         self.invertible = np.asarray(invertible, dtype=np.intp)
-        self.trivial = len(free) < 2 and not invertible
+        self.can_swap = len(free) >= 2
+        self.can_toggle = len(invertible) > 0
+        self.trivial = not (self.can_swap or self.can_toggle)
         self.steps = (
             25 * n_bits if problem.steps_per_temperature is None
             else problem.steps_per_temperature
@@ -1153,25 +1133,10 @@ class _Search:
         # One draw call covers the whole level. Metropolis acceptance
         # u < exp(-delta/T) is recast as delta <= -T*log(u): one comparison
         # per proposal (identical decisions; u is never exactly 1).
-        use_toggle, toggle_bits, swap_a, swap_b, accept_u = _draw_proposals(
-            chain.rng, self.steps, self.free, self.invertible
+        chain.use_toggle, chain.toggle_bits, chain.pairs, accept_u = (
+            _draw_proposals(chain.rng, self.steps, self.free, self.invertible)
         )
-        chain.use_toggle = use_toggle
-        chain.toggle_bits = toggle_bits
-        chain.swap_a = swap_a
-        chain.swap_b = swap_b
         chain.thresholds = -chain.temperature * np.log(accept_u)
-        # Partition the level's proposals by move type once; pricing rounds
-        # address the partitions through sorted index ranges.
-        chain.tog_idx = np.flatnonzero(use_toggle)
-        chain.sw_idx = np.flatnonzero(~use_toggle)
-        chain.tog_bits_lvl = (
-            toggle_bits[chain.tog_idx] if len(chain.tog_idx) else None
-        )
-        chain.sw_pairs_lvl = (
-            np.column_stack((swap_a[chain.sw_idx], swap_b[chain.sw_idx]))
-            if len(chain.sw_idx) else None
-        )
         chain.offset = 0
         # Pricing horizon in windows: start at one and double while
         # nothing commits (cold levels then need O(log) pricing rounds),

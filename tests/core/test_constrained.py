@@ -118,6 +118,26 @@ class TestConstrainedAnnealing:
             assert tight.delay <= bound * (1 + 1e-9)
             assert tight.power >= loose.power - 1e-25
 
+    def test_cost_calls_pinned(self, setup, monkeypatch):
+        """The scalar objective is called once per priced proposal (plus
+        the warm-up, polish and report). The count was recorded once from
+        this seeded run and must not move."""
+        _, stats, delay_model, power_model = setup
+        bound = delay_model.worst_line_delay(SignedPermutation.identity(9))
+        calls = []
+        worst_line_delay = delay_model.worst_line_delay
+
+        def counting(assignment):
+            calls.append(assignment)
+            return worst_line_delay(assignment)
+
+        monkeypatch.setattr(delay_model, "worst_line_delay", counting)
+        result = delay_constrained_annealing(
+            stats, delay_model, power_model, delay_bound=bound * 0.97,
+            rng=np.random.default_rng(5), steps_per_temperature=60,
+        )
+        assert (len(calls), result.evaluations) == (5079, 4927)
+
     def test_rejects_bad_bound(self, setup):
         _, stats, delay_model, power_model = setup
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.contracts import ContractViolation
 from repro.core.assignment import AssignmentConstraints, SignedPermutation
 from repro.core.fastpower import (
     CompiledPowerModel,
@@ -192,6 +193,40 @@ class TestDeltaWalk:
             rtol=0.0, atol=1e-12 * scale,
         )
 
+    def test_scalar_moves_price_each_proposal_once(self):
+        model = make_model(N, 7, True)
+        starts = random_assignments(
+            N, 2, np.random.default_rng(6), with_inversions=True
+        )
+        calls = []
+
+        def cost(assignment):
+            calls.append(assignment)
+            return model.power(assignment)
+
+        oracle = ScalarPricer(cost, starts)
+        fast = PopulationState(CompiledPowerModel.compile(model), starts)
+        rng = np.random.default_rng(7)
+        rows = rng.integers(0, 2, 40)
+        is_toggle = rng.random(40) < 0.3
+        bits = rng.integers(0, N, 40)
+        first = rng.integers(0, N, 40)
+        pairs = np.stack((first, (first + rng.integers(1, N, 40)) % N), axis=1)
+        del calls[:]
+        moves = oracle.delta_moves(rows, is_toggle, bits, pairs)
+        assert len(calls) == 40
+        np.testing.assert_allclose(
+            moves, fast.delta_moves(rows, is_toggle, bits, pairs),
+            rtol=0.0, atol=1e-12 * float(np.abs(oracle.powers).max()),
+        )
+        toggles, swaps = is_toggle.nonzero()[0], (~is_toggle).nonzero()[0]
+        np.testing.assert_array_equal(
+            moves[toggles], oracle.delta_toggles(rows[toggles], bits[toggles])
+        )
+        np.testing.assert_array_equal(
+            moves[swaps], oracle.delta_swaps(rows[swaps], pairs[swaps])
+        )
+
     def test_resync_is_stable(self):
         """A state resynced from scratch — rebuilt from its assignment —
         has the same power, bit for bit (what resuming an annealing
@@ -256,13 +291,25 @@ class TestSearchParity:
 
 
 class TestSymmetryGuard:
-    def asymmetric_model(self):
+    @staticmethod
+    def asymmetric_matrix():
         matrix = np.eye(N) * 1e-15
         matrix[0, 1] = 5e-16  # no matching [1, 0] entry
-        return PowerModel(stats_from_seed(N, 9), matrix)
+        return matrix
 
-    def test_as_compiled_refuses_asymmetric(self):
-        model = self.asymmetric_model()
+    def asymmetric_model(self, monkeypatch):
+        """Built with runtime contracts off: the SPICE-form contract would
+        reject the matrix before the guard under test runs."""
+        monkeypatch.delenv("REPRO_CONTRACTS", raising=False)
+        return PowerModel(stats_from_seed(N, 9), self.asymmetric_matrix())
+
+    def test_contracts_reject_asymmetric_model(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONTRACTS", "1")
+        with pytest.raises(ContractViolation, match="capacitance-symmetry"):
+            PowerModel(stats_from_seed(N, 9), self.asymmetric_matrix())
+
+    def test_as_compiled_refuses_asymmetric(self, monkeypatch):
+        model = self.asymmetric_model(monkeypatch)
         compiled = CompiledPowerModel.compile(model)
         assert not compiled.symmetric
         assert as_compiled(model) is None
@@ -271,13 +318,15 @@ class TestSymmetryGuard:
     def test_as_compiled_refuses_generic_callable(self):
         assert as_compiled(lambda assignment: 0.0) is None
 
-    def test_search_state_refuses_asymmetric(self):
-        compiled = CompiledPowerModel.compile(self.asymmetric_model())
+    def test_search_state_refuses_asymmetric(self, monkeypatch):
+        compiled = CompiledPowerModel.compile(
+            self.asymmetric_model(monkeypatch)
+        )
         with pytest.raises(ValueError, match="symmetric"):
             PopulationState(compiled, [SignedPermutation.identity(N)])
 
-    def test_searches_fall_back_to_generic_path(self):
-        model = self.asymmetric_model()
+    def test_searches_fall_back_to_generic_path(self, monkeypatch):
+        model = self.asymmetric_model(monkeypatch)
         via_model = simulated_annealing(
             model, N, rng=np.random.default_rng(4)
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import AssignmentConstraints, SignedPermutation
+from repro.core.fastpower import PopulationState
 from repro.core.optimize import (
     exhaustive_search,
     greedy_descent,
@@ -154,6 +155,33 @@ class TestSimulatedAnnealing:
         )
         assert sa.assignment.line_of_bit == (0, 1, 2, 3)
         assert sa.power == pytest.approx(exact.power, rel=1e-9)
+
+
+class TestPricingRounds:
+    def test_quiet_level_is_one_kernel_call(self, monkeypatch):
+        """A level of 40 proposals in which nothing commits is priced in
+        one ``delta_moves`` call: the 8 proposals past the first window
+        are priced with it, not in a round of their own."""
+        _, _, model = small_problem(4, seed=5)
+        # A greedy optimum at a vanishing temperature accepts nothing.
+        start = greedy_descent(model, SignedPermutation.identity(4)).assignment
+        batches = []
+        delta_moves = PopulationState.delta_moves
+
+        def counting(self, chains, *moves):
+            batches.append(len(chains))
+            return delta_moves(self, chains, *moves)
+
+        monkeypatch.setattr(PopulationState, "delta_moves", counting)
+        result = simulated_annealing(
+            model, 4, start=start, rng=np.random.default_rng(0),
+            initial_temperature=1e-40, steps_per_temperature=40,
+            polish=False,
+        )
+        assert result.assignment == start
+        levels, rest = divmod(result.evaluations - 1, 40)
+        assert levels > 1 and rest == 0
+        assert batches == [40] * levels
 
 
 class TestWrapper:

@@ -4,7 +4,8 @@ Three contracts:
 
 * :class:`PopulationState` prices and applies moves over a stacked
   ``(chains, n)`` state — rows of different models of one size included,
-  and committed rows rebuilt by one stacked refresh — with results
+  toggles and swaps priced in one mixed batch, and committed rows rebuilt
+  by one stacked refresh — with results
   bit-identical to a population of one per chain (same float op order
   whatever the batch), so a chain's decisions cannot depend on which
   other chains share its population;
@@ -22,7 +23,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.assignment import AssignmentConstraints, SignedPermutation
 from repro.core.fastpower import (
@@ -57,13 +58,15 @@ def stats_from_seed(n, seed, samples=300):
 
 #: Array shape per line count of the MOS-aware models.
 SHAPES = {4: (2, 2), 6: (2, 3), 9: (3, 3)}
+#: Also 4x4, for the mixed-kind kernel parity test.
+ARRAYS = {**SHAPES, 16: (4, 4)}
 
 
 @functools.lru_cache(maxsize=None)
 def make_model(n, seed, mos_aware):
     stats = stats_from_seed(n, seed)
     if mos_aware:
-        rows, cols = SHAPES[n]
+        rows, cols = ARRAYS[n]
         geometry = TSVArrayGeometry(rows=rows, cols=cols, pitch=8e-6,
                                     radius=2e-6)
         capacitance = LinearCapacitanceModel.fit(
@@ -334,6 +337,81 @@ class TestMixedModelPopulation:
                     np.testing.assert_array_equal(x, y)
 
 
+class TestDeltaMoves:
+    """One mixed-kind ``delta_moves`` call == the one-kind kernels."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([4, 9, 16]),
+        models=st.lists(
+            st.tuples(st.integers(0, 3), st.booleans()),  # (seed, MOS-aware)
+            min_size=1, max_size=4,
+        ),
+        kinds=st.sampled_from(["mixed", "toggles", "swaps"]),
+        moves=st.lists(
+            st.tuples(st.integers(0, 3), st.booleans(), st.integers(0, 15),
+                      st.integers(0, 14)),  # (row, toggle, bit, offset)
+            min_size=1, max_size=80,
+        ),
+        commits=st.integers(0, 4),
+    )
+    # Toggle-only batches (as when every bit is pinned), swap-only
+    # batches (as without inversions) and populations of one.
+    @example(n=9, models=[(0, True)], kinds="toggles",
+             moves=[(0, True, 3, 0)] * 5, commits=0)
+    @example(n=16, models=[(1, True)], kinds="swaps",
+             moves=[(0, False, 2, 5)] * 40, commits=2)
+    @example(n=4, models=[(0, False), (2, True)], kinds="mixed",
+             moves=[(1, True, 1, 2), (0, False, 3, 1)] * 20, commits=3)
+    def test_equals_one_kind_kernels(self, n, models, kinds, moves, commits):
+        compiled = [make_compiled(n, seed, mos) for seed, mos in models]
+        k = len(compiled)
+        rng = np.random.default_rng(n * k + commits)
+        population = PopulationState(
+            compiled, random_assignments(n, k, rng, with_inversions=True)
+        )
+        # Commit a few moves first, so the aggregates are not the starts'.
+        for _ in range(commits):
+            row = int(rng.integers(k))
+            a, b = (int(x) for x in rng.choice(n, 2, replace=False))
+            apply_move(population, row, (bool(rng.random() < 0.4), a, b))
+            population.refresh([row])
+        rows = np.array([row % k for row, _, _, _ in moves], dtype=np.intp)
+        is_toggle = np.array(
+            [kinds == "toggles" or (kinds == "mixed" and t)
+             for _, t, _, _ in moves]
+        )
+        bits = np.array([a % n for _, _, a, _ in moves], dtype=np.intp)
+        pairs = np.array(
+            [(a % n, (a + 1 + d % (n - 1)) % n) for _, _, a, d in moves],
+            dtype=np.intp,
+        )
+        deltas = population.delta_moves(
+            rows, is_toggle,
+            None if kinds == "swaps" else bits,
+            None if kinds == "toggles" else pairs,
+        )
+        toggles, swaps = is_toggle.nonzero()[0], (~is_toggle).nonzero()[0]
+        if len(toggles):
+            np.testing.assert_array_equal(
+                deltas[toggles],
+                population.delta_toggles(rows[toggles], bits[toggles]),
+            )
+        if len(swaps):
+            np.testing.assert_array_equal(
+                deltas[swaps],
+                population.delta_swaps(rows[swaps], pairs[swaps]),
+            )
+        # Each delta also equals the delta priced alone.
+        for i in range(len(moves)):
+            alone = (
+                population.delta_toggles(rows[i:i + 1], bits[i:i + 1])
+                if is_toggle[i]
+                else population.delta_swaps(rows[i:i + 1], pairs[i:i + 1])
+            )
+            assert deltas[i] == alone[0]
+
+
 def mixed_problems(tmp_path=None):
     """Different models at two sizes, MOS-aware with toggles, pinned
     constraints, restarts and a generic callable: one batch."""
@@ -377,6 +455,26 @@ class TestAnnealProblems:
             for problem in mixed_problems()
         ]
         assert all(map(same_result, batched, separate))
+
+    def test_one_kind_searches_share_rounds(self):
+        """Toggle-only (every bit pinned), swap-only and mixed searches of
+        one size share a population, so rounds mix chains that lack a
+        move kind."""
+        pinned = AssignmentConstraints(pinned={bit: bit for bit in range(N)})
+
+        def problems():
+            return [
+                SearchProblem(make_compiled(N, 0, True), N,
+                              constraints=pinned,
+                              rng=np.random.default_rng(21)),
+                SearchProblem(make_compiled(N, 1, True), N,
+                              with_inversions=False,
+                              rng=np.random.default_rng(22)),
+                SearchProblem(make_compiled(N, 2, False), N,
+                              rng=np.random.default_rng(23)),
+            ]
+
+        assert all(map(same_result, anneal(problems()), one_by_one(problems())))
 
     def test_interrupt_hits_one_problem_which_resumes(self, tmp_path):
         clean = one_by_one(mixed_problems())

@@ -9,11 +9,18 @@ transitive acquisitions, memoized interprocedural summaries) are the
 parts most likely to blow up as the tree grows.
 
 The script times ``Program.load`` (read, parse and index every file,
-build the signature registry) once as ``load_s``, then each pass on
-that shared program, the way ``run_lint`` runs them.  Pass times are
-best-of-repeats on the warm program, so they exclude parsing; the
-per-function node lists the concurrency pass caches on the program are
-filled by its first repeat.
+build the signature registry) as ``load_s``, then each pass on that
+shared program, the way ``run_lint`` runs them.  ``load_s`` includes
+the one walk per file that also records the scoped node lists (each
+top-level function's and class member's subtree, each function's own
+scope) the passes read instead of walking again.  Pass times are
+best-of-repeats on the warm program, so they exclude parsing.  Last,
+``run_lint_s`` is the end-to-end ``run_lint(deep=True)`` that the CLI
+and pre-commit pay: load, every pass and the rendering, with the
+cyclic garbage collector paused as ``run_lint`` pauses it.  Every
+time is taken with the collector in the state the script found it
+(``run_lint`` restores it), so ``load_s`` plus the pass times may
+exceed ``run_lint_s``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_lint.py [--quick]
 Writes ``benchmarks/BENCH_lint.json`` (gitignored; the committed seed
@@ -24,12 +31,14 @@ without gating on raw machine speed for the unbudgeted passes.
 """
 
 import argparse
+import io
 import json
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import run_lint
 from repro.analysis.concurrency import analyze_threads
 from repro.analysis.exactness import analyze_exactness
 from repro.analysis.flow import analyze_paths
@@ -39,12 +48,12 @@ from repro.analysis.program import Program
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Wall-time budget for the concurrency pass over src/repro (seconds,
-#: best-of-repeats).  Generous against the ~1 s measured cost so CI
+#: best-of-repeats).  Generous against the ~0.15 s measured cost so CI
 #: noise does not trip it, tight enough to catch a quadratic blowup.
 THREAD_BUDGET_S = 2.0
 
 #: Same deal for the exactness pass (REP301..REP306): its memoized
-#: function summaries are linear today (~1.3 s measured); the budget
+#: function summaries are linear today (~0.1 s measured); the budget
 #: catches a recursion-guard or summary-invalidation regression.
 EXACT_BUDGET_S = 2.0
 
@@ -160,6 +169,17 @@ def main(argv=None) -> int:
         )
         for finding in findings:
             print(f"  {finding.render()}")
+
+    run_lint_s, code = _best_of(
+        lambda: run_lint([str(SRC)], deep=True, stream=io.StringIO()),
+        repeats,
+    )
+    report["run_lint_s"] = run_lint_s
+    ok = ok and code == 0
+    print(
+        f"{'run_lint':8s} {run_lint_s:6.3f}s  "
+        f"{n_files / run_lint_s:6.1f} files/s  deep, end to end, exit {code}"
+    )
 
     with open(args.output, "w") as sink:
         json.dump(report, sink, indent=2)

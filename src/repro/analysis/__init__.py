@@ -49,7 +49,7 @@ from repro.analysis.findings import (
     summarize,
 )
 from repro.analysis.linter import ALL_RULES, lint_file, lint_paths, lint_source
-from repro.analysis.program import Program
+from repro.analysis.program import Program, collector_paused
 
 __all__ = [
     "ALL_RULES",
@@ -95,6 +95,27 @@ def _excluded(findings, exclude):
     return [f for f in findings if keep(f)]
 
 
+def _analyze(paths, deep, threads, exact):
+    """The sorted findings of the requested passes over ``paths``."""
+    program = Program.load(paths)
+    findings = lint_paths(program)
+    if deep:
+        from repro.analysis.flow import analyze_paths
+
+        findings = sorted(set(findings) | set(analyze_paths(program)))
+    if deep or threads:
+        from repro.analysis.concurrency import analyze_threads
+
+        findings = sorted(set(findings) | set(analyze_threads(program)))
+    if deep or exact:
+        from repro.analysis.exactness import analyze_exactness
+
+        findings = sorted(
+            set(findings) | set(analyze_exactness(program))
+        )
+    return findings
+
+
 def run_lint(
     paths: Sequence[str],
     output_format: str = "text",
@@ -115,25 +136,16 @@ def run_lint(
     (``REP101``..``REP104``). Findings under any path in ``exclude`` are
     dropped — how CI lints ``tests/`` while skipping the
     deliberately-bad fixture corpora.
+
+    The cyclic garbage collector is paused while the program is loaded
+    and analyzed, and the program is freed before it resumes: with the
+    collector paused every node is still in the youngest generation, so
+    a collection while the program was alive would traverse all of it.
     """
     stream = sys.stdout if stream is None else stream
     try:
-        program = Program.load(paths)
-        findings = lint_paths(program)
-        if deep:
-            from repro.analysis.flow import analyze_paths
-
-            findings = sorted(set(findings) | set(analyze_paths(program)))
-        if deep or threads:
-            from repro.analysis.concurrency import analyze_threads
-
-            findings = sorted(set(findings) | set(analyze_threads(program)))
-        if deep or exact:
-            from repro.analysis.exactness import analyze_exactness
-
-            findings = sorted(
-                set(findings) | set(analyze_exactness(program))
-            )
+        with collector_paused():
+            findings = _analyze(paths, deep, threads, exact)
         if exclude:
             findings = _excluded(findings, exclude)
     except FileNotFoundError as exc:

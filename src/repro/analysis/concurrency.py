@@ -113,6 +113,14 @@ _THREAD_METHODS = frozenset(
 )
 
 
+_NO_LOCKS: frozenset = frozenset()
+
+
+def _lockset(held: Set[str]) -> frozenset:
+    """``frozenset(held)``, sharing one empty set: most sites hold none."""
+    return frozenset(held) if held else _NO_LOCKS
+
+
 class _Access:
     """One read/write of a tracked field at one site."""
 
@@ -201,7 +209,9 @@ class ThreadAnalyzer(Pass):
                         item.target, ast.Name
                     ):
                         fields.add(item.target.id)
-                for item in ast.walk(node):
+                for item in (
+                    sub for stmt in node.body for sub in module.subtrees[stmt]
+                ):
                     if (
                         isinstance(item, ast.Assign)
                         and len(item.targets) == 1
@@ -633,19 +643,27 @@ class _ThreadTracker:
         self.attrs_joined: Set[str] = set()
 
     def visit_body(self, nodes: Sequence[ast.AST]) -> None:
+        """Assignments first, then attributes, then loads, each in order."""
+        assigns: List[ast.Assign] = []
+        attributes: List[ast.Attribute] = []
+        loads: List[ast.Name] = []
         for node in nodes:
             if isinstance(node, ast.Assign):
-                self._handle_assign(node)
-        for node in nodes:
-            if isinstance(node, ast.Attribute):
-                self._handle_attribute(node)
-        for node in nodes:
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                state = self.locals.get(node.id)
-                if state is not None and not state.get("_shielded", set()) & {
-                    id(node)
-                }:
-                    state["escaped"] = True
+                assigns.append(node)
+            elif isinstance(node, ast.Attribute):
+                attributes.append(node)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.append(node)
+        for node in assigns:
+            self._handle_assign(node)
+        for node in attributes:
+            self._handle_attribute(node)
+        for node in loads:
+            state = self.locals.get(node.id)
+            if state is not None and not state.get("_shielded", set()) & {
+                id(node)
+            }:
+                state["escaped"] = True
 
     def _handle_assign(self, node: ast.Assign) -> None:
         if not (
@@ -873,7 +891,7 @@ class _FunctionScanner:
         self, field: str, kind: str, held: Set[str], node: ast.AST
     ) -> None:
         self.scan.accesses.append(
-            _Access(field, kind, frozenset(held), node, self.in_init)
+            _Access(field, kind, _lockset(held), node, self.in_init)
         )
 
     def record_store(self, target: ast.expr, held: Set[str]) -> None:
@@ -945,7 +963,7 @@ class _FunctionScanner:
         blocked = self._blocking_desc(call, canonical)
         if blocked is not None:
             self.scan.direct_blocks = True
-            self.scan.blocking.append((call, blocked, frozenset(held)))
+            self.scan.blocking.append((call, blocked, _lockset(held)))
         # Thread-escape seeds.
         if canonical in _THREAD_CTORS:
             for kw in call.keywords:
@@ -963,7 +981,7 @@ class _FunctionScanner:
                     call.args[1], self.module, self.class_name
                 )
         resolved = analyzer.resolve_call(call, self.module, self.class_name)
-        self.scan.calls.append(_Call(resolved, frozenset(held), call))
+        self.scan.calls.append(_Call(resolved, _lockset(held), call))
 
     def _blocking_desc(
         self, call: ast.Call, canonical: str

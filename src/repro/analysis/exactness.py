@@ -390,12 +390,34 @@ class ExactnessAnalyzer(Pass):
         self.member_index = program.member_index
         self.method_names = program.method_names
         self.module_env: Dict[str, Dict[str, Fact]] = {}
+        #: Registry ``Class.method`` signatures by method name, in
+        #: registry order: the fallback of an unresolved method call.
+        self.method_signatures: Dict[str, List[Signature]] = {}
+        for key, sig in self.registry.functions.items():
+            if key.count(".") == 1:
+                self.method_signatures.setdefault(
+                    key.partition(".")[2], []
+                ).append(sig)
+        #: Findings of summary runs that met no recursion cycle, kept
+        #: until their function's turn in :meth:`run`.
+        self._settled: Dict[str, List[Finding]] = {}
 
     def summarize(self, info: FunctionInfo) -> Fact:
-        """Return-value fact of one analyzed function."""
-        interp = _Interp(self, info, record=False)
+        """Return-value fact of one analyzed function.
+
+        The run records its findings aside. They are the function's
+        findings unless the run met a call back into a summary still in
+        progress (a recursion cycle): that call read ``unknown`` where
+        the function's own turn in :meth:`run` reads the finished
+        summary, so such a function is interpreted again there.
+        """
+        outer, self.findings = self.findings, []
+        interp = _Interp(self, info, record=True)
         interp.execute()
-        return _join_all(interp.returns) if interp.returns else UNKNOWN
+        found, self.findings = self.findings, outer
+        if not interp.cyclic:
+            self._settled[info.qualname] = found
+        return interp.summary()
 
     # -- sink lookup -----------------------------------------------------------
 
@@ -469,12 +491,28 @@ class ExactnessAnalyzer(Pass):
     # -- driver ----------------------------------------------------------------
 
     def run(self) -> List[Finding]:
+        """Interpret every function once, in sorted order, recording.
+
+        A function summarized before its turn contributes the findings
+        of that run, unless the run met a recursion cycle. Otherwise it
+        runs now, outside any summary, and this run's result becomes its
+        summary unless a cycle back into it summarized it meanwhile.
+        The findings equal those of running every function once more,
+        recording, after the summaries.
+        """
         for module in self.program.modules:
             scope = _Interp(self, None, record=False, module=module)
             scope.exec_module(module)
             self.module_env[module.name] = scope.env
         for qualname in sorted(self.functions):
-            _Interp(self, self.functions[qualname], record=True).execute()
+            settled = self._settled.pop(qualname, None)
+            if settled is not None:
+                self.findings.extend(settled)
+                continue
+            interp = _Interp(self, self.functions[qualname], record=True)
+            interp.execute()
+            # A cycle back into this function may have summarized it.
+            self.summaries.setdefault(qualname, interp.summary())
         return self.result()
 
 
@@ -500,6 +538,8 @@ class _Interp:
         self.loop_depth = 0
         self._fanout_rngs: Dict[str, ast.AST] = {}
         self._fanout_reported: Set[str] = set()
+        #: Set when a call read ``unknown`` for a summary in progress.
+        self.cyclic = False
         if info is not None:
             self._seed_params()
             self.exact_return = analyzer.is_exact_return(info)
@@ -535,6 +575,16 @@ class _Interp:
     def execute(self) -> None:
         self.exec_block(self.info.node.body)
         self._flush_fanout()
+
+    def summary(self) -> Fact:
+        """The return-value fact of the executed function."""
+        return _join_all(self.returns) if self.returns else UNKNOWN
+
+    def _callee(self, qualname: str) -> Fact:
+        """Summary of an analyzed callee, noting a recursion cycle."""
+        if self.a.in_progress(qualname):
+            self.cyclic = True
+        return self.a.summary(qualname)
 
     def exec_module(self, module: ModuleInfo) -> None:
         for node in module.tree.body:
@@ -1128,16 +1178,13 @@ class _Interp:
                 f"order-sensitive accumulation in {attr}()",
                 reduction=True, taints=taints,
             )
-        facts: List[Fact] = []
-        for qual in quals:
-            facts.append(self.a.summary(qual))
+        facts = [self._callee(qual) for qual in quals]
         if not facts:
             # Fall back to registry unit signatures: "Class.method".
-            sigs = [
-                sig for key, sig in self.a.registry.functions.items()
-                if key.count(".") == 1 and key.endswith(f".{attr}")
+            facts = [
+                _fact_from_abstract(sig.ret)
+                for sig in self.a.method_signatures.get(attr, ())
             ]
-            facts = [_fact_from_abstract(sig.ret) for sig in sigs]
         result = _join_all(facts) if facts else UNKNOWN
         return result.with_taints(taints)
 
@@ -1186,7 +1233,7 @@ class _Interp:
                 direct_keys=[callee_key],
             )
         if qual is not None:
-            return self.a.summary(qual).with_taints(all_taints)
+            return self._callee(qual).with_taints(all_taints)
         return Fact(taints=all_taints)
 
     # -- parameter sinks -------------------------------------------------------
@@ -1291,7 +1338,7 @@ class _Interp:
         if not candidates:
             return
         for expr in candidates:
-            fact = self.eval(expr)
+            fact = self._probe(expr)
             if not fact.is_rng or fact.spawned:
                 continue
             root = expr.id if isinstance(expr, ast.Name) else None
@@ -1303,6 +1350,17 @@ class _Interp:
                     self._fire_fanout(expr, root)
                 else:
                     self._fanout_rngs[root] = expr
+
+    def _probe(self, expr: ast.expr) -> Fact:
+        """Evaluate ``expr`` again, leaving the environment and the
+        returns as they were (a check must not change the summary)."""
+        env, n_returns = self.env, len(self.returns)
+        self.env = dict(env)
+        try:
+            return self.eval(expr)
+        finally:
+            self.env = env
+            del self.returns[n_returns:]
 
     def _fire_fanout(self, expr: ast.AST, root: Optional[str]) -> None:
         marker = f"{expr.lineno}:{expr.col_offset}"

@@ -90,15 +90,17 @@ class Rule:
     A rule defines ``visit_<NodeType>`` handlers. The driver walks each
     file once and calls every rule's handler for each node of that type,
     then :meth:`finish`. Handlers never recurse themselves: the walk
-    reaches every node.
+    reaches every node, and a handler that needs a subtree reads the
+    module's ``subtrees``/``scopes`` index.
     """
 
     code = "REP000"
     summary = "base rule"
 
-    def __init__(self, path: str, imports: ImportMap) -> None:
-        self.path = path
-        self.imports = imports
+    def __init__(self, module: ModuleInfo) -> None:
+        self.module = module
+        self.path = module.path
+        self.imports = module.imports
         self.findings: List[Finding] = []
 
     def finish(self) -> None:
@@ -338,7 +340,7 @@ class ParameterMutationRule(Rule):
         }
         if not params:
             return
-        own_body = list(self._own_nodes(node))
+        own_body = self.module.scopes[node]
         rebound = self._rebound_names(own_body)
         suspects = params - rebound
         if not suspects:
@@ -347,19 +349,6 @@ class ParameterMutationRule(Rule):
             self._check_statement(sub, suspects)
 
     visit_AsyncFunctionDef = visit_FunctionDef
-
-    @staticmethod
-    def _own_nodes(func) -> Iterable[ast.AST]:
-        """Walk the function body without descending into nested defs."""
-        stack = list(func.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue  # nested scope - analyzed on its own visit
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
 
     @staticmethod
     def _rebound_names(nodes: Iterable[ast.AST]) -> Set[str]:
@@ -439,8 +428,8 @@ class DaemonThreadRule(Rule):
     code = "REP007"
     summary = "daemon thread never joined or registered for shutdown"
 
-    def __init__(self, path: str, imports: ImportMap) -> None:
-        super().__init__(path, imports)
+    def __init__(self, module: ModuleInfo) -> None:
+        super().__init__(module)
         self._bound: Dict[int, str] = {}  # id(ctor call) -> handle name
         self._ctors: List[ast.Call] = []
         self._joined: Set[str] = set()
@@ -528,7 +517,7 @@ ALL_RULES = (
 
 def _lint_module(module: ModuleInfo, rules: Sequence[type]) -> List[Finding]:
     """Run ``rules`` over one module in a single walk of its tree."""
-    instances = [rule_cls(module.path, module.imports) for rule_cls in rules]
+    instances = [rule_cls(module) for rule_cls in rules]
     handlers: Dict[type, List[Callable]] = {}  # node type -> visit_<type>s
     for rule in instances:
         for attr in dir(rule):

@@ -5,20 +5,24 @@ A file that does not parse becomes a ``REP000`` finding in
 :attr:`Program.errors` and is left out of :attr:`Program.modules`, so
 the deep passes never see it. Each parsed file is one
 :class:`ModuleInfo` (tree, :class:`ImportMap`, dotted module name,
-``# repro: noqa`` map). On top of the modules the program holds one
-function/class-member index and, built on first use, the
-static-signature registry. The passes share all of it and keep only
-their own lattices and transfer functions.
+``# repro: noqa`` map) whose one walk of the tree also records the
+scoped node lists the passes read instead of walking again. On top of
+the modules the program holds one function/class-member index and,
+built on first use, the static-signature registry. The passes share all
+of it and keep only their own lattices and transfer functions.
 """
 
 from __future__ import annotations
 
 import ast
+import gc
 import re
+from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 from typing import (
-    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Union,
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
+    Tuple, Union,
 )
 
 from repro.analysis.findings import Finding
@@ -31,6 +35,7 @@ __all__ = [
     "Pass",
     "Program",
     "as_program",
+    "collector_paused",
     "iter_python_files",
 ]
 
@@ -142,7 +147,17 @@ class ModuleInfo:
 
     ``path`` is the file as given to the linter; every finding in the
     file carries it verbatim. ``nodes`` is the tree in ``ast.walk``
-    order, walked once for the import map and the shallow rules.
+    order, walked once for the import map and the shallow rules. The
+    same walk fills two scoped indexes:
+
+    * ``subtrees`` maps each top-level function, and each statement of a
+      top-level class's body (its methods among them), to every node of
+      its subtree in ``ast.walk`` order, the node itself first. A class
+      keeps no list of its own: its body statements' lists cover every
+      statement in it;
+    * ``scopes`` maps every function definition, nested ones included,
+      to the nodes of its body that belong to its own scope: nested
+      functions and lambdas, with everything under them, are left out.
     """
 
     def __init__(
@@ -154,16 +169,78 @@ class ModuleInfo:
     ) -> None:
         self.path = path
         self.tree = tree
-        self.nodes = list(ast.walk(tree))
+        self.nodes, self.subtrees, self.scopes = _walk(tree)
         self.imports = ImportMap(self.nodes)
         self.name = _module_name_for(Path(path)) if name is None else name
         self.noqa = _noqa_lines(source)
 
 
+_FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+_NodeIndex = Dict[ast.AST, List[ast.AST]]
+
+
+def _walk(tree: ast.Module) -> Tuple[List[ast.AST], _NodeIndex, _NodeIndex]:
+    """``list(ast.walk(tree))`` plus the subtree and scope indexes.
+
+    The walk is breadth first, so it meets a subtree's nodes level by
+    level, each level in the order of its parents: restricted to one
+    subtree it is exactly that subtree's own ``ast.walk``. Each queued
+    node therefore carries the subtree list it belongs to (``sinks``)
+    and the scope list it belongs to (``owners``), and is appended to
+    them when it is dequeued.
+    """
+    subtrees: _NodeIndex = {}
+    parents: Set[ast.AST] = {tree}  # whose children may open a subtree
+    for stmt in tree.body:
+        if isinstance(stmt, _FUNCTION_DEFS):
+            subtrees[stmt] = []
+        elif isinstance(stmt, ast.ClassDef):
+            parents.add(stmt)
+            subtrees.update((member, []) for member in stmt.body)
+    scopes: _NodeIndex = {}
+    nodes: List[ast.AST] = [tree]
+    sinks: List[Optional[List[ast.AST]]] = [None]
+    owners: List[Optional[List[ast.AST]]] = [None]
+    for index, node in enumerate(nodes):
+        sink = sinks[index]
+        if sink is not None:
+            sink.append(node)
+        owner = owners[index]
+        body_owner = owner
+        if isinstance(node, _FUNCTION_DEFS):
+            # A def and its header belong to no function's own scope;
+            # its body opens its own.
+            owner, body_owner = None, scopes.setdefault(node, [])
+        elif isinstance(node, ast.Lambda):
+            owner = None  # nor does a lambda, body included
+        elif owner is not None:
+            owner.append(node)
+        splits = node in parents
+        for field in node._fields:
+            value = getattr(node, field, None)
+            if isinstance(value, ast.AST):
+                nodes.append(value)
+                sinks.append(sink)
+                owners.append(owner)
+            elif isinstance(value, list):
+                child_owner = body_owner if field == "body" else owner
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        nodes.append(item)
+                        sinks.append(
+                            subtrees.get(item, sink) if splits else sink
+                        )
+                        owners.append(child_owner)
+    return nodes, subtrees, scopes
+
+
 class FunctionInfo:
     """One module-level function or class method of an analyzed module.
 
-    ``short`` is the name annotations use: ``func`` or ``Class.method``.
+    ``short`` is the name annotations use: ``func`` or ``Class.method``;
+    ``nodes`` is every node of the function, nested scopes included, in
+    ``ast.walk`` order (the module's ``subtrees`` entry).
     """
 
     def __init__(
@@ -177,14 +254,7 @@ class FunctionInfo:
         self.class_name = class_name
         self.short = f"{class_name}.{node.name}" if class_name else node.name
         self.qualname = f"{module.name}.{self.short}"
-
-    @cached_property
-    def nodes(self) -> List[ast.AST]:
-        """Every node of the function, nested scopes included."""
-        return list(ast.walk(self.node))
-
-
-_FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+        self.nodes = module.subtrees[node]
 
 
 class Program:
@@ -351,6 +421,33 @@ class Pass:
 
     def summarize(self, info: FunctionInfo) -> Any:
         raise NotImplementedError
+
+    def in_progress(self, qualname: str) -> bool:
+        """Whether ``qualname``'s summary is being computed: a call to it
+        now is a recursion cycle and reads :attr:`unknown`."""
+        return qualname in self._active
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector for the block.
+
+    A lint run builds a few hundred thousand AST nodes that live until
+    the run ends and form no reference cycles, so every collection the
+    run would trigger re-traverses all of them and frees nothing. The
+    collector is re-enabled on exit, also on error, but only if it was
+    enabled on entry. The switch is process-wide. Everything allocated
+    in the block is still in the youngest generation when it ends, so
+    let large structures die inside the block: the first collection
+    afterwards traverses whatever of it is still alive.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def as_program(target: Union[Program, Sequence[Union[str, Path]]]) -> Program:

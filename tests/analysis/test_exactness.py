@@ -1,14 +1,19 @@
-"""Exactness pass: fixtures, repo cleanliness, annotations, lattices."""
+"""Exactness pass: fixtures, repo cleanliness, annotations, lattices, and
+one interpretation per function against the record-every-function oracle."""
 
 import io
 import re
+import tarfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_lint
+from repro.analysis import Program, run_lint
 from repro.analysis.exactness import (
     EXACT_RULES,
+    ExactnessAnalyzer,
+    _Interp,
     analyze_exactness,
     analyze_exactness_source,
 )
@@ -320,3 +325,132 @@ def test_malformed_exactness_entries_are_rejected():
         registry.add_module_signatures(
             "pkg.mod", {"@order_sensitive": ["f g"]}
         )
+
+
+# -- one interpretation per function: the record-every-function oracle ---------
+
+REPO = REPO_SRC.parents[1]
+FROZEN_CORPUS = REPO / "perfbench" / "corpus" / "repro-82f75c7.tar.gz"
+
+
+class _RecordAfterSummaries(ExactnessAnalyzer):
+    """The driver that single interpretation replaced, kept as the oracle.
+
+    Summaries run without recording; then every function runs once more,
+    recording, in sorted order.
+    """
+
+    def summarize(self, info):
+        interp = _Interp(self, info, record=False)
+        interp.execute()
+        return interp.summary()
+
+    def run(self):
+        for module in self.program.modules:
+            scope = _Interp(self, None, record=False, module=module)
+            scope.exec_module(module)
+            self.module_env[module.name] = scope.env
+        for qualname in sorted(self.functions):
+            _Interp(self, self.functions[qualname], record=True).execute()
+        return self.result()
+
+
+def _interpretations(monkeypatch):
+    runs = Counter()
+    execute = _Interp.execute
+
+    def counting(self):
+        runs[self.info.qualname] += 1
+        execute(self)
+
+    monkeypatch.setattr(_Interp, "execute", counting)
+    return runs
+
+
+def _assert_matches_oracle(program, monkeypatch):
+    runs = _interpretations(monkeypatch)
+    oracle = _RecordAfterSummaries(program).run()
+    oracle_runs = sum(runs.values())
+    runs.clear()
+    assert ExactnessAnalyzer(program).run() == oracle
+    assert set(runs) == set(program.functions)
+    assert max(runs.values()) <= 2
+    assert sum(runs.values()) < oracle_runs
+    return oracle, runs
+
+
+@pytest.mark.parametrize(
+    "corpus", ["fixtures", "src"], ids=["fixtures", "src_repro"]
+)
+def test_single_interpretation_matches_the_oracle(corpus, monkeypatch):
+    paths = (
+        [FIXTURE_DIR.parent] if corpus == "fixtures" else [REPO_SRC]
+    )
+    findings, _ = _assert_matches_oracle(Program.load(paths), monkeypatch)
+    assert bool(findings) == (corpus == "fixtures")
+
+
+def test_single_interpretation_matches_the_oracle_on_frozen_corpus(
+    tmp_path, monkeypatch
+):
+    with tarfile.open(FROZEN_CORPUS) as archive:
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        archive.extractall(tmp_path, **safe)
+    program = Program.load([tmp_path / "src" / "repro"])
+    assert len(program.functions) > 1000
+    _, runs = _assert_matches_oracle(program, monkeypatch)
+    rerun = sum(1 for count in runs.values() if count == 2)
+    assert 0 < rerun < len(program.functions) // 10
+
+
+def test_cycle_member_reruns_and_drops_its_summary_findings(monkeypatch):
+    # Sorted order: a, b, c.  a's run summarizes b, b summarizes c, and
+    # c's call back into b reads unknown while b is in progress, so c's
+    # summary run sees "unknown + 0.5" and blames the float literal.
+    # At its turn c runs again against b's finished summary, which is a
+    # float division: the only REP301 names that origin.
+    source = (
+        "def a(n):\n"
+        "    return b(n)\n"
+        "\n"
+        "\n"
+        "def b(n):\n"
+        "    if not n:\n"
+        "        return n / 2\n"
+        "    return c(n - 1)\n"
+        "\n"
+        "\n"
+        "def c(n):\n"
+        "    return b(n) + 0.5\n"
+        "\n"
+        "\n"
+        'REPRO_SIGNATURES = {"@exact": ["c return"]}\n'
+    )
+    program = Program.from_source(source, "cycle.py", "cycle")
+    findings, runs = _assert_matches_oracle(program, monkeypatch)
+    assert [(f.rule, f.line) for f in findings] == [("REP301", 12)]
+    assert "(float division)" in findings[0].message
+    assert runs == {"cycle.a": 1, "cycle.b": 1, "cycle.c": 2}
+
+
+def test_recording_leaves_the_summary_alone(monkeypatch):
+    # The fan-out check evaluates the submitted arguments a second time;
+    # if that re-evaluation rebound ``a`` (to the float ``b`` by then
+    # holds), the recording run would summarize ``fan`` as float and
+    # ``use`` would report a REP301 the non-recording summary never sees.
+    source = (
+        "def fan(rng, pool):\n"
+        "    b = 1\n"
+        "    pool.submit(work, rng, (a := b), (b := 0.5))\n"
+        "    return a\n"
+        "\n"
+        "\n"
+        "def use(rng, pool):\n"
+        "    return fan(rng, pool)\n"
+        "\n"
+        "\n"
+        'REPRO_SIGNATURES = {"@exact": ["use return"]}\n'
+    )
+    program = Program.from_source(source, "fan.py", "fan")
+    findings, _ = _assert_matches_oracle(program, monkeypatch)
+    assert findings == []

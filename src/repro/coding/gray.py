@@ -17,24 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Widest word the int64 codecs support: bit ``width`` must still be
-#: addressable (the invert codes put a flag there) and ``1 << width``
-#: must not overflow a signed 64-bit transport word.
-MAX_WORD_WIDTH = 62
-
-
-def _check(words: np.ndarray, width: int) -> np.ndarray:
-    if not 1 <= width <= MAX_WORD_WIDTH:
-        raise ValueError(
-            f"width must be in 1..{MAX_WORD_WIDTH} (int64 word transport), "
-            f"got {width}"
-        )
-    words = np.asarray(words)
-    if not np.issubdtype(words.dtype, np.integer):
-        raise ValueError("word stream must be integer")
-    if ((words < 0) | (words >= (1 << width))).any():
-        raise ValueError(f"words outside unsigned range for width {width}")
-    return words.astype(np.int64)
+from repro.coding.kernels import check_words
 
 
 def gray_encode_words(
@@ -45,7 +28,7 @@ def gray_encode_words(
     ``negated=True`` is the XNOR variant of Sec. 6: the bitwise complement
     of the Gray code word within ``width`` bits.
     """
-    words = _check(words, width)
+    words = check_words(words, width)
     gray = words ^ (words >> 1)
     if negated:
         gray ^= (1 << width) - 1
@@ -56,7 +39,7 @@ def gray_decode_words(
     words: np.ndarray, width: int, negated: bool = False
 ) -> np.ndarray:
     """Inverse of :func:`gray_encode_words` (prefix XOR from the MSB)."""
-    gray = _check(words, width)
+    gray = check_words(words, width)
     if negated:
         gray = gray ^ ((1 << width) - 1)
     binary = gray.copy()

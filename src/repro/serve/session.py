@@ -32,8 +32,8 @@ import numpy as np
 
 from repro.core.assignment import SignedPermutation
 from repro.datagen.util import words_to_bits
+from repro.coding.kernels import MAX_WORD_WIDTH
 from repro.serve.codecs import (
-    MAX_WORD_WIDTH,
     CodecChain,
     build_chain,
     parse_codec_spec,

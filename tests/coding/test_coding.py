@@ -10,7 +10,6 @@ from repro.coding.businvert import (
     coded_bit_stream,
     coupling_invert_decode,
     coupling_invert_encode,
-    coupling_transition_cost,
 )
 from repro.coding.correlator import correlate_words, decorrelate_words
 from repro.coding.gray import gray_decode_words, gray_encode_words
@@ -18,6 +17,7 @@ from repro.datagen.gaussian import ar1_gaussian_words
 from repro.datagen.random_stream import uniform_random_words
 from repro.datagen.util import words_to_bits
 from repro.stats.switching import BitStatistics
+from tests.oracles import coupling_transition_cost
 
 
 class TestGray:

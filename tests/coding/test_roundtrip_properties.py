@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coding import MAX_WORD_WIDTH
 from repro.coding.businvert import (
-    MAX_WORD_WIDTH,
     bus_invert_decode,
     bus_invert_encode,
     coupling_invert_decode,
@@ -23,6 +23,12 @@ from repro.coding.cac import build_lat_codebook
 from repro.coding.correlator import correlate_words, decorrelate_words
 from repro.coding.gray import gray_decode_words, gray_encode_words
 from repro.tsv.geometry import TSVArrayGeometry
+from tests.oracles import (
+    bus_invert_oracle,
+    correlate_oracle,
+    coupling_invert_oracle,
+    split_flag,
+)
 
 
 def word_streams(max_width=MAX_WORD_WIDTH, max_len=200):
@@ -88,6 +94,42 @@ class TestInvertRoundTrip:
         )
 
 
+class TestOfflineMatchesOracles:
+    """The offline coders, one kernel chunk each, against per-word loops
+    over the whole width range."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(word_streams(), st.integers(1, 5), st.booleans())
+    def test_correlator(self, stream, n_channels, negated):
+        words, width = stream
+        np.testing.assert_array_equal(
+            correlate_words(
+                words, width, n_channels=n_channels, negated=negated
+            ),
+            correlate_oracle(
+                words, width, n_channels=n_channels, negated=negated
+            ),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(word_streams())
+    def test_bus_invert(self, stream):
+        words, width = stream
+        coded, flags = bus_invert_encode(words, width)
+        want = split_flag(bus_invert_oracle(words, width)[0], width)
+        np.testing.assert_array_equal(coded, want[0])
+        np.testing.assert_array_equal(flags, want[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(word_streams(max_len=80))
+    def test_coupling_invert(self, stream):
+        words, width = stream
+        coded, flags = coupling_invert_encode(words, width)
+        want = split_flag(coupling_invert_oracle(words, width)[0], width)
+        np.testing.assert_array_equal(coded, want[0])
+        np.testing.assert_array_equal(flags, want[1])
+
+
 class TestCacRoundTrip:
     @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 3)])
     def test_exact_inverse_over_full_payload_space(self, rows, cols):
@@ -109,6 +151,13 @@ class TestWidthGuards:
             gray_encode_words(np.array([0]), width)
         with pytest.raises(ValueError, match="width"):
             gray_decode_words(np.array([0]), width)
+
+    def test_gray_rejects_2d_streams(self):
+        words = np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match="1-D"):
+            gray_encode_words(words, 4)
+        with pytest.raises(ValueError, match="1-D"):
+            gray_decode_words(words, 4)
 
     @pytest.mark.parametrize("width", [0, MAX_WORD_WIDTH + 1, 64])
     def test_correlator(self, width):

@@ -1,27 +1,24 @@
-"""Batch-kernel parity: vectorized codecs == per-word reference loops.
+"""Batch-kernel parity: streaming codecs == per-word reference loops.
 
-The invert codecs encode through :func:`_invert_state_walk` batch
-kernels. The per-word loops below are the ground truth: plain functions
-that walk the stream one word at a time, priced by the offline helpers
-(a Python popcount, and
-:func:`repro.coding.businvert.coupling_transition_cost`). This suite
-proves kernel and oracle bit-identical on hypothesis-random words,
-widths and chunk splits — including the carried decision state across
-chunks, ``reset()``, and the wide-bus fallbacks (SWAR popcount past the
-bus-invert table, vectorized coupling costs past the coupling decision
-table).
+The invert codecs encode through the :mod:`repro.coding.kernels` batch
+kernels. The per-word loops of ``tests/oracles.py`` are the ground
+truth: plain functions that walk the stream one word at a time with
+Python integers. This suite proves kernel and oracle bit-identical on
+hypothesis-random words, widths and chunk splits — including the
+carried decision state across chunks, ``reset()``, and the wide-bus
+fallbacks (SWAR popcount past the bus-invert table, vectorized coupling
+costs past the coupling decision table).
 
-The gray/correlator codecs have no scalar loop (their kernels are pure
-array ops); their reference is the offline :mod:`repro.coding`
-transform of the whole stream, checked here under random splits.
+The gray codec is stateless; its reference is the offline
+:mod:`repro.coding` transform of the whole stream, checked here under
+random splits. The correlator's reference is the per-word oracle.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.coding.businvert import coupling_transition_cost
-from repro.coding.correlator import correlate_words
 from repro.coding.gray import gray_encode_words
+from repro.coding.kernels import _prefer_inverted_table
 from repro.serve.codecs import (
     _MAX_DECISION_TABLE_LINES,
     _MAX_POPCOUNT_TABLE_BITS,
@@ -29,46 +26,13 @@ from repro.serve.codecs import (
     CorrelatorCodec,
     CouplingInvertCodec,
     GrayCodec,
-    _prefer_inverted_table,
 )
-
-
-def bus_invert_oracle(words, width, previous=0, flag=False):
-    """Per-word bus-invert from a carried (word, flag) state.
-
-    Returns the coded words (flag in band on bit ``width``) and the final
-    state: the previously transmitted data word and its flag.
-    """
-    mask = (1 << width) - 1
-    flag_bit = 1 << width
-    out = np.empty(len(words), dtype=np.int64)
-    for t, word in enumerate(map(int, words)):
-        if 2 * bin(previous ^ word).count("1") > width:
-            previous = word ^ mask
-            flag = True
-            out[t] = previous | flag_bit
-        else:
-            previous = word
-            flag = False
-            out[t] = word
-    return out, previous, flag
-
-
-def coupling_invert_oracle(words, width, previous=0):
-    """Per-word coupling-invert from a carried bus state (flag as bit
-    ``width``); returns the coded words and the final bus state."""
-    mask = (1 << width) - 1
-    flag_bit = 1 << width
-    out = np.empty(len(words), dtype=np.int64)
-    for t, word in enumerate(map(int, words)):
-        inverted = (word ^ mask) | flag_bit
-        if (coupling_transition_cost(previous, inverted, width + 1)
-                < coupling_transition_cost(previous, word, width + 1)):
-            previous = inverted
-        else:
-            previous = word
-        out[t] = previous
-    return out, previous
+from tests.oracles import (
+    bus_invert_oracle,
+    correlate_oracle,
+    coupling_invert_oracle,
+    coupling_transition_cost,
+)
 
 
 def encode_chunked(codec, words, cuts):
@@ -222,7 +186,7 @@ class TestCouplingInvertParity:
 
 
 class TestStatelessKernelsAgainstOffline:
-    """Gray/correlator kernels vs the offline whole-stream transforms."""
+    """Gray vs the offline transform, correlator vs its oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -256,7 +220,7 @@ class TestStatelessKernelsAgainstOffline:
         codec = CorrelatorCodec(width, n_channels=n_channels, negated=negated)
         np.testing.assert_array_equal(
             encode_chunked(codec, stream, cuts),
-            correlate_words(
+            correlate_oracle(
                 stream, width, n_channels=n_channels, negated=negated
             ),
         )

@@ -3,7 +3,9 @@
 The two properties everything above this layer relies on:
 
 * encoding a stream chunk by chunk (any split) is bit-identical to the
-  offline :mod:`repro.coding` transform of the whole stream;
+  per-word oracles of ``tests/oracles.py`` on the whole stream (the
+  offline :mod:`repro.coding` transforms run the same kernels, and
+  ``tests/coding`` checks them against the same oracles);
 * ``decode(encode(x)) == x`` with independent per-direction history, for
   every codec and every chain.
 """
@@ -12,11 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coding.businvert import (
-    bus_invert_encode,
-    coupling_invert_encode,
-)
-from repro.coding.correlator import correlate_words
 from repro.coding.gray import gray_encode_words
 from repro.serve.codecs import (
     MAX_WORD_WIDTH,
@@ -31,6 +28,11 @@ from repro.serve.codecs import (
     parse_codec_spec,
 )
 from repro.tsv.geometry import TSVArrayGeometry
+from tests.oracles import (
+    bus_invert_oracle,
+    correlate_oracle,
+    coupling_invert_oracle,
+)
 
 GEOMETRY = TSVArrayGeometry(rows=3, cols=3, pitch=4.0e-6, radius=1.0e-6)
 
@@ -75,7 +77,7 @@ class TestChunkInvariance:
         codec = CorrelatorCodec(8, n_channels=n_channels, negated=negated)
         np.testing.assert_array_equal(
             chunked(codec.encode, words, cuts),
-            correlate_words(
+            correlate_oracle(
                 words, 8, n_channels=n_channels, negated=negated
             ),
         )
@@ -85,10 +87,9 @@ class TestChunkInvariance:
     def test_businvert(self, cuts):
         words = stream(8)
         codec = BusInvertCodec(8)
-        coded, flags = bus_invert_encode(words, 8)
         np.testing.assert_array_equal(
             chunked(codec.encode, words, cuts),
-            coded + (flags.astype(np.int64) << 8),
+            bus_invert_oracle(words, 8)[0],
         )
 
     @settings(max_examples=40, deadline=None)
@@ -96,35 +97,32 @@ class TestChunkInvariance:
     def test_couplinginvert(self, cuts):
         words = stream(7)
         codec = CouplingInvertCodec(7)
-        coded, flags = coupling_invert_encode(words, 7)
         np.testing.assert_array_equal(
             chunked(codec.encode, words, cuts),
-            coded + (flags.astype(np.int64) << 7),
+            coupling_invert_oracle(words, 7)[0],
         )
 
     def test_businvert_wide_bus_skips_popcount_table(self):
         # Beyond the table bound the codec must count bits per word
         # instead of allocating a 2^width table; still bit-exact against
-        # the offline transform, and decode still inverts it.
+        # the per-word oracle, and decode still inverts it.
         words = stream(32, n=40)
         codec = BusInvertCodec(32)
         assert codec._popcount is None
-        coded, flags = bus_invert_encode(words, 32)
         encoded = codec.encode(words)
         np.testing.assert_array_equal(
-            encoded, coded + (flags.astype(np.int64) << 32)
+            encoded, bus_invert_oracle(words, 32)[0]
         )
         np.testing.assert_array_equal(codec.decode(encoded), words)
 
     def test_couplinginvert_wide_bus_reference_path(self):
-        # Beyond the cost-table bound the codec must fall back to the
-        # reference cost function and still match the offline transform.
+        # Beyond the decision-table bound the codec must fall back to the
+        # vectorized cost kernel and still match the per-word oracle.
         words = stream(11, n=40)
         codec = CouplingInvertCodec(11)
         assert codec._prefer_inverted is None
-        coded, flags = coupling_invert_encode(words, 11)
         np.testing.assert_array_equal(
-            codec.encode(words), coded + (flags.astype(np.int64) << 11)
+            codec.encode(words), coupling_invert_oracle(words, 11)[0]
         )
 
     @settings(max_examples=20, deadline=None)

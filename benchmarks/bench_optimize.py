@@ -28,8 +28,7 @@ exactness of the delta kernels without gating on machine speed.
 
 Run as ``python benchmarks/bench_optimize.py [--quick]`` (needs the
 package importable, e.g. ``pip install -e .`` or ``PYTHONPATH=src``).
-Writes ``benchmarks/BENCH_optimize.json`` (gitignored; the committed
-seed baselines live in ``benchmarks/baselines/``).
+Writes ``benchmarks/BENCH_optimize.json`` (gitignored).
 """
 
 import argparse

@@ -24,9 +24,14 @@ the fleet's best encode throughput stays within ``--min-fleet-ratio``
 (default 0.8) of the single-engine best — regressions in the forwarding
 path fail the benchmark even on fast machines.
 
+``--min-encode-speedup R`` fails the benchmark when the single
+engine's encode throughput at the smallest batch window falls below
+``R`` times the same figure in the frozen seed report
+``benchmarks/baselines/BENCH_serve.json`` (the per-word serving stack
+the batch codec kernels replaced).
+
 Run:  PYTHONPATH=src python benchmarks/bench_serve.py [--quick]
-Writes ``benchmarks/BENCH_serve.json`` (gitignored; the committed seed
-baselines live in ``benchmarks/baselines/``).
+Writes ``benchmarks/BENCH_serve.json`` (gitignored).
 """
 
 import argparse
@@ -44,6 +49,7 @@ from repro.serve import BackgroundServer, BatchPolicy, LinkClient, build_chain
 from repro.stats.switching import BitStatistics
 from repro.tsv.geometry import TSVArrayGeometry
 
+BASELINE = Path(__file__).resolve().parent / "baselines" / "BENCH_serve.json"
 SEED = 2018
 WIDTH = 8
 GEOMETRY_SPEC = {"rows": 3, "cols": 3, "pitch": 4.0e-6, "radius": 1.0e-6}
@@ -181,6 +187,19 @@ def bench_window(window_s, words, repeats, chunk_words, in_flight,
     return best
 
 
+def check_encode_floor(report, baseline, min_speedup):
+    """``report``'s encode speedup over ``baseline`` and whether it
+    reaches ``min_speedup``: single-engine encode words/s at each
+    report's smallest batch window."""
+
+    def rate(bench):
+        rows = [row for row in bench["results"] if "fleet_workers" not in row]
+        return min(rows, key=lambda row: row["window_ms"])["encode_words_per_s"]
+
+    ratio = rate(report) / rate(baseline)
+    return ratio, ratio >= min_speedup
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -201,6 +220,11 @@ def main(argv=None) -> int:
         help="minimum fleet/single best-encode-throughput ratio "
              "(default 0.8; relaxed to 0.65 on single-core machines, "
              "where the forwarding hop cannot overlap with codec work)",
+    )
+    parser.add_argument(
+        "--min-encode-speedup", type=float, default=None, metavar="R",
+        help="fail unless the encode throughput is at least R times the "
+             "frozen seed baseline (benchmarks/baselines/)",
     )
     parser.add_argument(
         "--output",
@@ -289,11 +313,24 @@ def main(argv=None) -> int:
         )
         ok = ok and fleet_ok
 
+    if args.min_encode_speedup is not None:
+        with open(BASELINE) as source:
+            ratio, floor_ok = check_encode_floor(
+                report, json.load(source), args.min_encode_speedup
+            )
+        report["encode_speedup"] = ratio
+        print(
+            f"# encode speedup over the seed baseline {ratio:.1f}x "
+            f"(gate >= {args.min_encode_speedup:.1f}x): "
+            f"{'ok' if floor_ok else 'FAILED'}"
+        )
+        ok = ok and floor_ok
+
     with open(args.output, "w") as sink:
         json.dump(report, sink, indent=2)
     print(f"wrote {args.output}")
     if not ok:
-        print("CORRECTNESS GATE FAILED")
+        print("BENCHMARK GATE FAILED")
         return 1
     return 0
 

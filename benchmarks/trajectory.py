@@ -1,44 +1,50 @@
-"""Append this checkout's headline benchmark numbers to TRAJECTORY.jsonl.
+"""Append this checkout's perfbench results to TRAJECTORY.jsonl.
 
-The bench scripts write ``BENCH_optimize.json``, ``BENCH_serve.json``
-and ``BENCH_lint.json`` into ``benchmarks/`` (gitignored; the frozen
-seed baselines live in ``benchmarks/baselines/``); this script distills
-them into one JSON line per revision so the repo carries its own
-performance history — `evals/s` for the annealer fast path, `words/s`
-for the online codec service, `files/s` for every analyzer pass, and
-(when ``BENCH_grid.json`` is present) `jobs/s` for the distributed
-grid's claim/execute/verify overhead — without anyone having to diff
-the full reports.
+``perfbench/run.py`` keeps each run's report in ``.bench_out/`` as
+``<workload>-seed<seed>-trace<0|1>.json``. This script folds the reports
+measured on the current tree into one JSON line per revision, so the
+repository carries its own performance history in the units its speed
+claims are made in:
 
-Run (after the three benchmarks):
-
-    PYTHONPATH=src python benchmarks/bench_optimize.py --quick
-    PYTHONPATH=src python benchmarks/bench_serve.py --quick
-    PYTHONPATH=src python benchmarks/bench_lint.py --quick
+    python3 perfbench/run.py --workload paper --seconds 1 --trace 0
     python benchmarks/trajectory.py
 
 Each entry names the measured tree twice: ``revision`` is HEAD (marked
 ``-dirty`` when tracked files differ from it) and ``base`` is the
 commit the change builds on (HEAD for a dirty tree, HEAD's first
 parent for a clean one), so an entry appended before or after its
-commit says what it measured.
+commit says what it measured. Then, per workload with a report:
+``seed``, ``correct`` (every report of the workload passed its
+checks), the end-to-end ``round_rel``, ``setup_s`` and ``peak_rss_mb``
+from the trace-0 report, and ``layers``, the per-layer metrics, from
+the trace-1 report. When several seeds of a workload were run, the
+most recently written one counts. A report whose run context names
+another commit or dirty state than the current tree's is skipped and
+named: its numbers do not belong to this revision.
 
-Exits non-zero when a BENCH file is missing or malformed, so a CI
-trajectory step cannot silently append a hole. With
-``--min-encode-speedup R`` it additionally fails when the serve layer's
-steady-state encode rate has fallen below ``R`` times the frozen seed
-baseline in ``benchmarks/baselines/BENCH_serve.json`` — the regression
-gate for the vectorized codec kernels.
+Exits 1 when no report of this tree is found or one is malformed, so a
+CI trajectory step cannot silently append a hole.
+
+Lines written before perfbench became the one benchmark record use an
+older schema: ``optimize``, ``serve``, ``lint`` and ``grid`` headlines
+distilled from the ``benchmarks/bench_*.py`` reports. They are kept as
+they are.
 """
 
 import argparse
 import json
+import re
 import subprocess
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 TRAJECTORY = HERE / "TRAJECTORY.jsonl"
-BASELINES = HERE / "baselines"
+REPORTS = HERE.parent / ".bench_out"
+#: End-to-end metrics of a trace-0 report (perfbench/run.py END_TO_END).
+END_TO_END = ("round_rel", "setup_s", "peak_rss_mb")
+REPORT_NAME = re.compile(
+    r"(?P<workload>\w+)-seed(?P<seed>-?\d+)-trace(?P<trace>[01])\.json"
+)
 
 
 def _git(*args: str) -> str:
@@ -51,7 +57,17 @@ def _git(*args: str) -> str:
         return ""
 
 
-def git_revisions() -> dict:
+def checkout() -> tuple:
+    """HEAD's full hash and whether tracked files differ from it, as
+    perfbench records them in a report's context; ``(None, None)``
+    outside git."""
+    head = _git("rev-parse", "HEAD")
+    if not head:
+        return None, None
+    return head, bool(_git("status", "--porcelain", "--untracked-files=no"))
+
+
+def git_revisions(head, dirty) -> dict:
     """``revision`` and ``base`` of the measured tree.
 
     ``revision`` is HEAD's short hash, marked ``-dirty`` when tracked
@@ -60,97 +76,86 @@ def git_revisions() -> dict:
     ``base`` is the commit the tree builds on: HEAD for a dirty tree,
     HEAD's first parent for a clean one (HEAD is then the change itself).
     """
-    head = _git("rev-parse", "--short", "HEAD")
-    if not head:
+    if head is None:
         return {"revision": "unknown", "base": "unknown"}
-    if _git("status", "--porcelain", "--untracked-files=no"):
-        return {"revision": head + "-dirty", "base": head}
+    short = _git("rev-parse", "--short", head)
+    if dirty:
+        return {"revision": short + "-dirty", "base": short}
     return {
-        "revision": head,
-        "base": _git("rev-parse", "--short", "HEAD^") or "unknown",
+        "revision": short,
+        "base": _git("rev-parse", "--short", head + "^") or "unknown",
     }
 
 
-def _load(path: Path) -> dict:
-    with open(path) as source:
-        return json.load(source)
+def find_reports(directory: Path) -> dict:
+    """``{workload: (seed, {trace: path})}``, the newest seed per workload."""
+    runs = {}
+    for path in directory.glob("*-seed*-trace*.json"):
+        match = REPORT_NAME.fullmatch(path.name)
+        if match:
+            key = (match["workload"], int(match["seed"]))
+            runs.setdefault(key, {})[int(match["trace"])] = path
+    newest = {}
+    for (workload, seed), traces in runs.items():
+        written = max(path.stat().st_mtime for path in traces.values())
+        if workload not in newest or written > newest[workload][0]:
+            newest[workload] = (written, seed, traces)
+    return {workload: run[1:] for workload, run in newest.items()}
 
 
-def optimize_headline(report: dict) -> dict:
-    """Annealer throughput on the largest benchmarked problem."""
-    rows = report["results"]
-    top = max(rows, key=lambda row: row["n"])
+def _values(report: dict) -> dict:
     return {
-        "n": top["n"],
-        "sa_evals_per_s": top["sa_evaluations"] / top["sa_fast_s"],
-        "sa_speedup": top["sa_speedup"],
-        "sa_identical": top["sa_identical"],
+        name: float(metric["value"])
+        for name, metric in report["metrics"].items()
     }
 
 
-def serve_headline(report: dict) -> dict:
-    """Codec service throughput at the no-batching-window operating point."""
-    rows = report["results"]
-    base = min(rows, key=lambda row: row["window_ms"])
-    return {
-        "window_ms": base["window_ms"],
-        "encode_words_per_s": base["encode_words_per_s"],
-        "decode_words_per_s": base["decode_words_per_s"],
-        "round_trip_exact": base["round_trip_exact"],
-        "energy_exact": base["energy_exact"],
-    }
-
-
-def lint_headline(report: dict) -> dict:
-    """Per-pass analyzer throughput over src/repro (and, in reports that
-    time them, the shared parse/index/registry load and the end-to-end
-    ``run_lint(deep=True)``)."""
-    passes = {
-        row["pass"]: {
-            "files_per_s": row["files_per_s"],
-            "clean": row["clean"],
-        }
-        for row in report["results"]
-    }
-    headline = {"n_files": report["n_files"], "passes": passes}
-    for key in ("load_s", "run_lint_s"):
-        if key in report:
-            headline[key] = report[key]
-    return headline
-
-
-def grid_headline(report: dict) -> dict:
-    """Per-stage grid overhead (claim cycles, end-to-end jobs, verify)."""
-    stages = {
-        row["stage"]: {
-            "jobs_per_s": row["jobs_per_s"],
-            "clean": row["clean"],
-        }
-        for row in report["results"]
-    }
-    return {"jobs": report["results"][0]["jobs"], "stages": stages}
-
-
-def build_entry(bench_dir: Path) -> dict:
+def workload_entry(seed: int, reports: dict) -> dict:
+    """One workload's entry from its ``{trace: report}`` dicts."""
     entry = {
-        **git_revisions(),
-        "optimize": optimize_headline(_load(bench_dir / "BENCH_optimize.json")),
-        "serve": serve_headline(_load(bench_dir / "BENCH_serve.json")),
-        "lint": lint_headline(_load(bench_dir / "BENCH_lint.json")),
+        "seed": seed,
+        "correct": all(bool(report["correct"]) for report in reports.values()),
     }
-    # The grid report is optional: bench_grid.py runs in the grid CI job,
-    # not in every job that assembles a trajectory entry.
-    grid_report = bench_dir / "BENCH_grid.json"
-    if grid_report.exists():
-        entry["grid"] = grid_headline(_load(grid_report))
+    if 0 in reports:
+        metrics = _values(reports[0])
+        entry.update({name: metrics[name] for name in END_TO_END})
+    if 1 in reports:
+        entry["layers"] = _values(reports[1])
     return entry
+
+
+def build_entry(directory: Path, head, dirty) -> dict:
+    """The trajectory line for the reports of the tree at ``head``/``dirty``.
+
+    Raises ``FileNotFoundError`` when no such report exists, and
+    ``KeyError``/``ValueError``/``TypeError`` on a malformed one.
+    """
+    workloads = {}
+    for workload, (seed, paths) in sorted(find_reports(directory).items()):
+        reports = {}
+        for trace, path in sorted(paths.items()):
+            with open(path) as source:
+                report = json.load(source)
+            context = report["context"]
+            if (context["git_head"], context["git_dirty"]) != (head, dirty):
+                print(f"skipped {path.name}: measured at "
+                      f"{context['git_head']} (dirty: {context['git_dirty']})")
+                continue
+            reports[trace] = report
+        if reports:
+            workloads[workload] = workload_entry(seed, reports)
+    if not workloads:
+        raise FileNotFoundError(
+            f"no perfbench report of this tree in {directory}"
+        )
+    return {**git_revisions(head, dirty), **workloads}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--bench-dir", default=str(HERE),
-        help="directory holding the three BENCH_*.json reports",
+        "--reports", default=str(REPORTS),
+        help="directory of perfbench reports (default: .bench_out/)",
     )
     parser.add_argument(
         "--output", default=str(TRAJECTORY),
@@ -160,39 +165,17 @@ def main(argv=None) -> int:
         "--dry-run", action="store_true",
         help="print the entry without appending",
     )
-    parser.add_argument(
-        "--min-encode-speedup", type=float, default=None, metavar="R",
-        help="fail unless serve encode_words_per_s is at least R times "
-             "the frozen seed baseline (benchmarks/baselines/)",
-    )
     args = parser.parse_args(argv)
 
     try:
-        entry = build_entry(Path(args.bench_dir))
+        entry = build_entry(Path(args.reports), *checkout())
     except FileNotFoundError as exc:
-        print(f"missing benchmark report: {exc.filename}")
-        print("run bench_optimize.py, bench_serve.py and bench_lint.py first")
+        print(exc)
+        print("run perfbench/run.py first")
         return 1
-    except (KeyError, ValueError) as exc:
-        print(f"malformed benchmark report: {exc!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"malformed perfbench report: {exc!r}")
         return 1
-
-    if args.min_encode_speedup is not None:
-        try:
-            seed = serve_headline(_load(BASELINES / "BENCH_serve.json"))
-        except (FileNotFoundError, KeyError, ValueError) as exc:
-            print(f"cannot load the frozen serve baseline: {exc!r}")
-            return 1
-        rate = entry["serve"]["encode_words_per_s"]
-        ratio = rate / seed["encode_words_per_s"]
-        print(
-            f"encode speedup over seed baseline: {ratio:.1f}x "
-            f"({rate:,.0f} vs {seed['encode_words_per_s']:,.0f} words/s, "
-            f"gate {args.min_encode_speedup:.1f}x)"
-        )
-        if ratio < args.min_encode_speedup:
-            print("ENCODE SPEEDUP GATE FAILED")
-            return 1
 
     line = json.dumps(entry, sort_keys=True)
     print(line)

@@ -30,6 +30,7 @@ from repro.coding.kernels import (
     bus_invert_chunk,
     check_words,
     coupling_invert_chunk,
+    invert_decode_chunk,
 )
 
 
@@ -56,8 +57,9 @@ def bus_invert_decode(
     flags = np.asarray(flags)
     if flags.shape != coded.shape:
         raise ValueError("flags must align with the coded words")
-    mask = (1 << width) - 1
-    return np.where(flags.astype(bool), coded ^ mask, coded)
+    return invert_decode_chunk(
+        coded | (flags.astype(bool).astype(np.int64) << width), width
+    )
 
 
 def coupling_invert_encode(

@@ -18,7 +18,7 @@ also a valid code. Encoding is a static payload -> codeword table lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -181,6 +181,13 @@ def bus_invert_chunk(
     return out, int(out[-1]) & mask, bool(invert[-1])
 
 
+def invert_decode_chunk(coded: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of both invert kernels: complement the data bits of each
+    word whose in-band flag (bit ``width``) is raised, and drop the flag."""
+    mask = (1 << width) - 1
+    return (coded & mask) ^ ((coded >> width) * mask)
+
+
 def coupling_invert_chunk(
     words: np.ndarray,
     width: int,

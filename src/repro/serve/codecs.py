@@ -51,6 +51,7 @@ from repro.coding.kernels import (
     correlator_carry,
     coupling_invert_chunk,
     decorrelate_chunk,
+    invert_decode_chunk,
 )
 from repro.tsv.geometry import TSVArrayGeometry
 
@@ -318,9 +319,9 @@ class _InvertCodec(StreamCodec):
         super().__init__(width, width + 1)
 
     def decode(self, coded: np.ndarray) -> np.ndarray:
-        coded = check_words(coded, self.width_out)
-        mask = (1 << self.width_in) - 1
-        return (coded & mask) ^ ((coded >> self.width_in) * mask)
+        return invert_decode_chunk(
+            check_words(coded, self.width_out), self.width_in
+        )
 
 
 class BusInvertCodec(_InvertCodec):
@@ -538,6 +539,9 @@ class CodecChain:
 
     ``encode`` folds the chunk through every codec in order; ``decode``
     unwinds in reverse. Chunk invariance and exact inversion compose.
+    Each codec validates its own input and ``__init__`` pins the first
+    codec's width to the chain's, so only an empty chain validates a
+    chunk itself.
     """
 
     def __init__(self, codecs: Sequence[StreamCodec], width_in: int) -> None:
@@ -554,13 +558,13 @@ class CodecChain:
         self.width_out = width
 
     def encode(self, words: np.ndarray) -> np.ndarray:
-        out = check_words(words, self.width_in)
+        out = words if self.codecs else check_words(words, self.width_in)
         for codec in self.codecs:
             out = codec.encode(out)
         return out
 
     def decode(self, words: np.ndarray) -> np.ndarray:
-        out = check_words(words, self.width_out)
+        out = words if self.codecs else check_words(words, self.width_out)
         for codec in reversed(self.codecs):
             out = codec.decode(out)
         return out

@@ -27,6 +27,7 @@ from tests.oracles import (
     bus_invert_oracle,
     correlate_oracle,
     coupling_invert_oracle,
+    invert_decode_oracle,
     split_flag,
 )
 
@@ -116,18 +117,28 @@ class TestOfflineMatchesOracles:
     def test_bus_invert(self, stream):
         words, width = stream
         coded, flags = bus_invert_encode(words, width)
-        want = split_flag(bus_invert_oracle(words, width)[0], width)
+        in_band = bus_invert_oracle(words, width)[0]
+        want = split_flag(in_band, width)
         np.testing.assert_array_equal(coded, want[0])
         np.testing.assert_array_equal(flags, want[1])
+        np.testing.assert_array_equal(
+            bus_invert_decode(coded, flags, width),
+            invert_decode_oracle(in_band, width),
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(word_streams(max_len=80))
     def test_coupling_invert(self, stream):
         words, width = stream
         coded, flags = coupling_invert_encode(words, width)
-        want = split_flag(coupling_invert_oracle(words, width)[0], width)
+        in_band = coupling_invert_oracle(words, width)[0]
+        want = split_flag(in_band, width)
         np.testing.assert_array_equal(coded, want[0])
         np.testing.assert_array_equal(flags, want[1])
+        np.testing.assert_array_equal(
+            coupling_invert_decode(coded, flags, width),
+            invert_decode_oracle(in_band, width),
+        )
 
 
 class TestCacRoundTrip:

@@ -70,6 +70,16 @@ def coupling_invert_oracle(words, width, previous=0):
     return out, previous
 
 
+def invert_decode_oracle(coded, width):
+    """Per-word inverse of both invert codes: complement the data bits of
+    each word whose in-band flag (bit ``width``) is set."""
+    mask = (1 << width) - 1
+    out = np.empty(len(coded), dtype=np.int64)
+    for t, word in enumerate(map(int, coded)):
+        out[t] = (word & mask) ^ (mask if word >> width else 0)
+    return out
+
+
 def correlate_oracle(words, width, n_channels=1, negated=False):
     """Per-word XOR correlator over a whole stream: each word XOR (XNOR
     when ``negated``) the previous word of its channel; the first word of

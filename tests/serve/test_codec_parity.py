@@ -1,13 +1,14 @@
 """Batch-kernel parity: streaming codecs == per-word reference loops.
 
-The invert codecs encode through the :mod:`repro.coding.kernels` batch
-kernels. The per-word loops of ``tests/oracles.py`` are the ground
-truth: plain functions that walk the stream one word at a time with
-Python integers. This suite proves kernel and oracle bit-identical on
-hypothesis-random words, widths and chunk splits — including the
-carried decision state across chunks, ``reset()``, and the wide-bus
-fallbacks (SWAR popcount past the bus-invert table, vectorized coupling
-costs past the coupling decision table).
+The invert codecs encode and decode through the
+:mod:`repro.coding.kernels` batch kernels. The per-word loops of
+``tests/oracles.py`` are the ground truth: plain functions that walk the
+stream one word at a time with Python integers. This suite proves kernel
+and oracle bit-identical on hypothesis-random words, widths and chunk
+splits — including the carried decision state across chunks,
+``reset()``, and the wide-bus fallbacks (SWAR popcount past the
+bus-invert table, vectorized coupling costs past the coupling decision
+table).
 
 The gray codec is stateless; its reference is the offline
 :mod:`repro.coding` transform of the whole stream, checked here under
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.coding.gray import gray_encode_words
-from repro.coding.kernels import _prefer_inverted_table
+from repro.coding.kernels import MAX_WORD_WIDTH, _prefer_inverted_table
 from repro.serve.codecs import (
     _MAX_DECISION_TABLE_LINES,
     _MAX_POPCOUNT_TABLE_BITS,
@@ -32,6 +33,7 @@ from tests.oracles import (
     correlate_oracle,
     coupling_invert_oracle,
     coupling_transition_cost,
+    invert_decode_oracle,
 )
 
 
@@ -105,12 +107,19 @@ class TestBusInvertParity:
         )
 
     @settings(max_examples=30, deadline=None)
-    @given(width=st.integers(1, 12), words=st.data(), cuts=cut_points())
+    @given(
+        width=st.integers(1, MAX_WORD_WIDTH - 1),
+        words=st.data(),
+        cuts=cut_points(),
+    )
     def test_round_trip_and_flag_in_band(self, width, words, cuts):
         stream = words.draw(word_stream(width))
         codec = BusInvertCodec(width)
         coded = encode_chunked(codec, stream, cuts)
-        np.testing.assert_array_equal(codec.decode(coded), stream)
+        np.testing.assert_array_equal(coded, bus_invert_oracle(stream, width)[0])
+        decoded = codec.decode(coded)
+        np.testing.assert_array_equal(decoded, invert_decode_oracle(coded, width))
+        np.testing.assert_array_equal(decoded, stream)
         assert len(coded) == 0 or int(coded.max()) < 1 << (width + 1)
 
 
@@ -160,12 +169,21 @@ class TestCouplingInvertParity:
         )
 
     @settings(max_examples=30, deadline=None)
-    @given(width=st.integers(1, 8), words=st.data(), cuts=cut_points())
+    @given(
+        width=st.integers(1, MAX_WORD_WIDTH - 1),
+        words=st.data(),
+        cuts=cut_points(),
+    )
     def test_round_trip(self, width, words, cuts):
         stream = words.draw(word_stream(width))
         codec = CouplingInvertCodec(width)
         coded = encode_chunked(codec, stream, cuts)
-        np.testing.assert_array_equal(codec.decode(coded), stream)
+        np.testing.assert_array_equal(
+            coded, coupling_invert_oracle(stream, width)[0]
+        )
+        decoded = codec.decode(coded)
+        np.testing.assert_array_equal(decoded, invert_decode_oracle(coded, width))
+        np.testing.assert_array_equal(decoded, stream)
 
     def test_prefer_inverted_table_matches_transition_costs(self):
         for width in range(1, 7):

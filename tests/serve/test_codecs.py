@@ -212,6 +212,21 @@ class TestValidationAndSpecs:
         with pytest.raises(ValueError, match="payload bits"):
             build_chain([{"kind": "cac"}], 8, geometry=GEOMETRY)
 
+    @pytest.mark.parametrize(
+        "codecs", [[], [BusInvertCodec(8)], [GrayCodec(8), BusInvertCodec(8)]],
+        ids=["empty", "businvert", "gray+businvert"],
+    )
+    def test_chain_rejects_bad_chunk(self, codecs):
+        chain = CodecChain(codecs, 8)
+        for method, width in ((chain.encode, chain.width_in),
+                              (chain.decode, chain.width_out)):
+            with pytest.raises(ValueError, match="unsigned range"):
+                method(np.array([0, 1 << width]))
+            with pytest.raises(ValueError, match="1-D"):
+                method(np.zeros((2, 2), dtype=np.int64))
+            with pytest.raises(ValueError, match="integer"):
+                method(np.array([0.5]))
+
     def test_chain_width_mismatch(self):
         with pytest.raises(ValueError, match="expects width"):
             CodecChain([GrayCodec(8)], 9)

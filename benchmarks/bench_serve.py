@@ -55,8 +55,8 @@ WIDTH = 8
 GEOMETRY_SPEC = {"rows": 3, "cols": 3, "pitch": 4.0e-6, "radius": 1.0e-6}
 CODECS = [{"kind": "businvert"}]
 
-#: Batch windows swept (seconds).  0.0 serves each request immediately;
-#: the longer windows trade latency for larger coalesced batches.
+#: Batch windows swept (seconds).  0.0 drains what is queued and runs it
+#: at once; the longer windows trade latency for larger coalesced batches.
 WINDOWS_S = (0.0, 0.5e-3, 2.0e-3, 5.0e-3)
 
 

@@ -767,8 +767,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP port (0 = ephemeral, printed at start)")
     p_serve.add_argument("--unix", default=None, metavar="PATH",
                          help="listen on a unix socket instead of TCP")
-    p_serve.add_argument("--window-ms", type=float, default=2.0,
-                         help="micro-batch coalescing window [ms]")
+    p_serve.add_argument("--window-ms", type=float, default=0.0,
+                         help="how long a batch waits for more requests "
+                              "after draining the queue [ms]")
     p_serve.add_argument("--max-batch-words", type=int, default=65536)
     p_serve.add_argument("--max-batch-requests", type=int, default=128)
     p_serve.add_argument("--queue-limit", type=int, default=256,

@@ -41,7 +41,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.grid.space import JOB_FORMAT, JOB_VERSION, Job
 from repro.runtime.artifacts import atomic_write_bytes
@@ -119,17 +119,25 @@ class JobQueue:
     the heartbeat thread refreshes is guarded by ``_lock``) and safe
     across processes and hosts sharing the directory (every state
     transition is one atomic rename).
+
+    ``clock`` is the wall clock (seconds since the epoch) that stamps
+    lease heartbeats and ages them in :meth:`reclaim_expired`. Queues
+    sharing a directory must share a clock; a lease-less job's grace
+    window is measured from its file's ctime, which only the real clock
+    can age.
     """
 
     def __init__(
         self,
         root: Union[str, Path],
         max_attempts: int = 3,
+        clock: Callable[[], float] = time.time,
     ) -> None:
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.root = Path(root)
         self.max_attempts = max_attempts
+        self._clock = clock
         self._jobs = self.root / "jobs"
         self._lock = threading.Lock()
         self._held: Dict[str, str] = {}  # fingerprint -> owner (this process)
@@ -176,7 +184,7 @@ class JobQueue:
             "host": socket.gethostname(),
             "pid": os.getpid(),
             "attempts": attempts,
-            "heartbeat_at": time.time(),
+            "heartbeat_at": self._clock(),
         })
 
     def _drop_lease(
@@ -349,7 +357,7 @@ class JobQueue:
         cannot both requeue the job.
         """
         reclaimed: List[str] = []
-        now = time.time()
+        now = self._clock()
         running = self._jobs / JobState.RUNNING
         for path in sorted(running.glob("*.json")):
             fingerprint = path.stem

@@ -72,7 +72,16 @@ from repro.serve.session import LinkConfig, LinkConfigError, LinkSession
 from repro.serve.server import BackgroundServer, LinkServer
 from repro.serve.client import LinkClient, ServeError
 from repro.serve.fleet import FleetServer, worker_for
-from repro.serve.worker import WorkerServer
+
+
+def __getattr__(name: str):
+    # Lazy, or runpy warns at every `python -m repro.serve.worker` start.
+    if name == "WorkerServer":
+        from repro.serve.worker import WorkerServer
+
+        return WorkerServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BackgroundServer",

@@ -10,10 +10,10 @@ bridges the two with the standard inference-serving shape:
   :class:`OverloadedError` load shedding at submit time (never silent
   latency), and one worker per link keeps the stateful codec history a
   totally ordered stream;
-* the worker **coalesces** consecutive same-direction requests into one
-  NumPy batch under a :class:`BatchPolicy` (batch window, word and
-  request caps), then runs the batch on a shared thread pool so the
-  event loop never blocks on NumPy;
+* the worker **coalesces** the same-direction requests queued while the
+  last batch ran into one NumPy batch under a :class:`BatchPolicy`
+  (word and request caps, optional window), then runs the batch on a
+  shared thread pool so the event loop never blocks on NumPy;
 * every request may carry a **deadline** (a
   :class:`repro.runtime.supervision.Deadline`); requests that expire
   while queued are dropped *before* touching the codec — a dropped
@@ -28,6 +28,7 @@ path just like the offline solvers.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -68,9 +69,9 @@ class BatchPolicy:
     Attributes
     ----------
     window_s:
-        How long the worker waits for more requests after the first one
-        of a batch arrives. ``0`` disables coalescing (each request is
-        its own batch).
+        How long the worker waits for more requests after draining the
+        queue into a batch. ``0`` runs each batch at once; requests that
+        arrive while it runs form the next batch.
     max_batch_words:
         Close the batch once it holds at least this many words.
     max_batch_requests:
@@ -79,7 +80,7 @@ class BatchPolicy:
         Bound of the per-link request queue; a full queue sheds.
     """
 
-    window_s: float = 0.002
+    window_s: float = 0.0
     max_batch_words: int = 65536
     max_batch_requests: int = 128
     queue_limit: int = 256
@@ -157,6 +158,12 @@ class ServeEngine:
         self.policy = policy or BatchPolicy()
         self.control = control or RunControl()
         self._links: Dict[str, _Link] = {}
+        if max_workers is None:
+            # One batch thread per core this process may run on, plus one.
+            max_workers = 1 + (
+                len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            )
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
@@ -301,7 +308,7 @@ class ServeEngine:
         return True
 
     async def _fill_batch(self, link: _Link) -> List[_Request]:
-        """Pull one batch: first request (or carry), then the window."""
+        """Pull one batch: first request (or carry), the queue, the window."""
         policy = self.policy
         batch: List[_Request] = []
         # Mutated in place, so the link always exposes the requests the
@@ -322,13 +329,17 @@ class ServeEngine:
             len(batch) < policy.max_batch_requests
             and n_words < policy.max_batch_words
         ):
-            remaining = window.remaining()
-            if remaining <= 0.0:
-                break
             try:
-                request = await asyncio.wait_for(link.queue.get(), remaining)
-            except asyncio.TimeoutError:
-                break
+                request = link.queue.get_nowait()
+            except asyncio.QueueEmpty:
+                if window.expired():
+                    break
+                try:
+                    request = await asyncio.wait_for(
+                        link.queue.get(), window.remaining()
+                    )
+                except asyncio.TimeoutError:
+                    break
             if not self._take(link, request):
                 continue
             if request.op != batch[0].op:

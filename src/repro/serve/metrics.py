@@ -5,10 +5,10 @@ Two kinds of observability live here:
 * **operational** — request/word counters, queue depth, shed and
   deadline-missed counts, a windowed words/s meter, and a log-bucketed
   latency histogram reporting p50/p95/p99;
-* **physical** — :class:`EnergyAccount`, which accumulates the *exact*
-  sufficient statistics of the physical bit stream a link has carried
-  (integer transition Gram matrix, integer ones counts, the boundary
-  sample between batches) and prices them with
+* **physical** — :class:`EnergyAccount`, which books link words and
+  accumulates the *exact* sufficient statistics of the bit stream they put
+  on the lines (integer transition Gram matrix, integer ones counts, the
+  boundary sample between batches) and prices them with
   :class:`~repro.core.fastpower.CompiledPowerModel`. Because every
   accumulated quantity is an integer exactly representable in float64,
   the account's reported power is *bit-identical* to an offline
@@ -22,14 +22,16 @@ while the control plane snapshots them from the event loop.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import constants
+from repro.core.assignment import SignedPermutation
 from repro.core.fastpower import CompiledPowerModel
 from repro.stats.switching import BitStatistics
 from repro.tsv.capmodel import LinearCapacitanceModel
@@ -131,7 +133,7 @@ class LatencyHistogram:
     """
 
     def __init__(self) -> None:
-        self._bounds = _BUCKET_BOUNDS  # seconds
+        self._bounds = _BUCKET_BOUNDS.tolist()  # seconds; a list to bisect
         self._counts = np.zeros(len(self._bounds) + 1, dtype=np.int64)
         self._total = 0
         self._sum = 0.0
@@ -139,7 +141,7 @@ class LatencyHistogram:
         self._lock = threading.Lock()
 
     def record(self, seconds: float) -> None:
-        index = int(np.searchsorted(self._bounds, seconds, side="right"))
+        index = bisect.bisect_right(self._bounds, seconds)
         with self._lock:
             self._counts[index] += 1
             self._total += 1
@@ -309,22 +311,52 @@ class LinkMetrics:
         return data
 
 
-#: Row cap per float32 Gram/ones slab.  Partial sums inside one SGEMM or
-#: SGEMV are integers bounded by the slab length; 2**22 keeps them two
-#: orders of magnitude inside float32's exact-integer range (2**24).
-_GRAM_SLAB_ROWS = 1 << 22
+#: Words per float32 Gram/ones slab.  Partial sums inside one SGEMM or
+#: SGEMV are integers bounded by the slab length, far inside float32's
+#: exact-integer range (2**24).  Small slabs keep the temporaries (144 KiB
+#: at width 9) in cache: one slab per 25k-word batch took twice as long.
+_GRAM_SLAB_ROWS = 1 << 12
+
+
+def _word_levels(words: np.ndarray, width: int) -> np.ndarray:
+    """``(len(words), width)`` float32 bits of unsigned words, LSB first."""
+    little = np.ascontiguousarray(words, "<i8").view(np.uint8)
+    return np.unpackbits(little.reshape(len(words), 8), axis=1, count=width,
+                         bitorder="little").astype(np.float32)
+
+
+def _state_array(
+    state: Mapping[str, object], key: str, shape: Tuple[int, ...]
+) -> np.ndarray:
+    """``state[key]`` as an int64 array of ``shape``, else ValueError:
+    one error family, so LinkSession.restore's rollback catches it."""
+    try:
+        array = np.asarray(state.get(key), dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"account state {key!r} must hold integers: {exc}"
+        ) from None
+    if array.shape != shape:
+        raise ValueError(
+            f"account state {key!r} must have shape {shape}, "
+            f"got {array.shape}"
+        )
+    return array
 
 
 class EnergyAccount:
     """Exact online energy accounting of one physical bit stream.
 
-    Accumulates, across arbitrarily-sized batches, the integer moments
+    The stream is ``width``-bit words routed onto the lines by
+    ``assignment``; lines past the word width carry zero bits. Accumulates,
+    across arbitrarily-sized word batches, the integer line-domain moments
     that :meth:`BitStatistics.from_stream` would compute on the whole
-    stream — the transition Gram matrix ``sum_t db_t db_t^T``, the ones
-    count ``sum_t b_t`` and the sample count — keeping the last sample of
-    the previous batch so inter-batch transitions are counted too. All
-    entries stay exactly representable in float64 (they are bounded by
-    the sample count), so :meth:`normalized_power` reproduces the offline
+    routed bit stream — the transition Gram matrix ``sum_t db_t db_t^T``,
+    the ones count ``sum_t b_t`` and the sample count — keeping the last
+    line sample of the previous batch so inter-batch transitions are
+    counted too. All entries stay exactly representable in float64 (they
+    are bounded by the sample count), so :meth:`normalized_power`
+    reproduces the offline
 
     ``CompiledPowerModel(BitStatistics.from_stream(stream), cap).power()``
 
@@ -335,56 +367,76 @@ class EnergyAccount:
         self,
         n_lines: int,
         capacitance: Union[np.ndarray, LinearCapacitanceModel],
+        width: Optional[int] = None,
+        assignment: Optional[SignedPermutation] = None,
     ) -> None:
-        if n_lines < 1:
-            raise ValueError(f"n_lines must be >= 1, got {n_lines}")
         self.n_lines = int(n_lines)
+        self.width = self.n_lines if width is None else int(width)
+        if not 1 <= self.width <= self.n_lines:
+            raise ValueError(
+                f"width must be in 1..{self.n_lines}, got {self.width} "
+                f"(only {self.n_lines} lines)"
+            )
+        assignment = assignment or SignedPermutation.identity(self.n_lines)
+        if assignment.n_bits != self.n_lines:
+            raise ValueError(
+                f"assignment covers {assignment.n_bits} lines, "
+                f"not {self.n_lines}"
+            )
         self._capacitance = capacitance
+        # Line j carries bit order[j], negated where flip[j]: its deltas
+        # change sign and its ones are the zeros of its bit.
+        self._order = np.asarray(assignment.bit_of_line, dtype=np.intp)
+        self._flip = np.asarray(assignment.inverted, np.uint8)[self._order]
+        signs = 1 - 2 * self._flip.astype(np.int64)
+        self._signs = np.outer(signs, signs)
         self._gram = np.zeros((n_lines, n_lines), dtype=np.int64)
         self._ones = np.zeros(n_lines, dtype=np.int64)
         self._n_samples = 0
         self._last: Optional[np.ndarray] = None
         self._lock = threading.Lock()
 
-    def update(self, bits: np.ndarray) -> None:
-        """Account one ``(batch, n_lines)`` physical bit batch."""
-        bits = np.asarray(bits)
-        if bits.ndim != 2 or bits.shape[1] != self.n_lines:
-            raise ValueError(
-                f"expected (batch, {self.n_lines}) bits, got {bits.shape}"
-            )
-        if bits.shape[0] == 0:
+    def update(self, words: np.ndarray) -> None:
+        """Account one ``(batch,)`` batch of unsigned ``width``-bit words."""
+        words = np.asarray(words)
+        if words.ndim != 1 or words.dtype.kind not in "iu":
+            raise ValueError(f"expected 1-D integer words, got {words.dtype}"
+                             f" of shape {words.shape}")
+        n, width = len(words), self.width
+        if n == 0:
             return
-        bits = bits.astype(np.uint8, copy=False)
-        with self._lock:
-            # One float32 copy of the levels, boundary sample first, feeds
-            # both tallies through BLAS: the transition Gram matrix as
-            # slabbed SGEMMs and the ones counts as slabbed SGEMVs. Every
-            # operand is an integer (levels 0/1, deltas 0/±1), so each
-            # (blocked) partial sum is an integer bounded by the slab
-            # length (2**22) — far inside the 2**24 range where float32
-            # holds integers exactly — and the products are bit-equal to
-            # the int64 ones, summation order notwithstanding.
-            head = 0 if self._last is None else 1
-            levels = np.empty(
-                (head + bits.shape[0], bits.shape[1]), dtype=np.float32
-            )
-            if head:
-                levels[0] = self._last
-            levels[head:] = bits
+        if words.min() < 0 or words.max() >= 1 << width:
+            raise ValueError(f"words outside unsigned range for width {width}")
+        # Slab by slab (plus the next slab's first word, for the delta
+        # across), the word-bit levels feed both tallies through BLAS: the
+        # Gram of their deltas as an SGEMM, the ones counts as an SGEMV.
+        # Every operand is an integer (levels 0/1, deltas 0/±1), so each
+        # partial sum is an integer bounded by the slab length, and the
+        # products are bit-equal to the int64 ones in any order.
+        gram = np.zeros((self.n_lines,) * 2, dtype=np.int64)
+        ones = np.zeros(self.n_lines, dtype=np.int64)
+        unit = np.ones(min(n, _GRAM_SLAB_ROWS), dtype=np.float32)
+        for lo in range(0, n, _GRAM_SLAB_ROWS):
+            levels = _word_levels(words[lo:lo + _GRAM_SLAB_ROWS + 1], width)
             deltas = levels[1:] - levels[:-1]
-            for lo in range(0, deltas.shape[0], _GRAM_SLAB_ROWS):
-                slab = deltas[lo:lo + _GRAM_SLAB_ROWS]
-                gram = slab.T @ slab
-                self._gram += gram.astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
-            fresh = levels[head:]
-            unit = np.ones(min(len(fresh), _GRAM_SLAB_ROWS), dtype=np.float32)
-            for lo in range(0, len(fresh), _GRAM_SLAB_ROWS):
-                slab = fresh[lo:lo + _GRAM_SLAB_ROWS]
-                ones = unit[:len(slab)] @ slab
-                self._ones += ones.astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
-            self._n_samples += bits.shape[0]
-            self._last = bits[-1].copy()
+            body = levels[:_GRAM_SLAB_ROWS]
+            gram[:width, :width] += (deltas.T @ deltas).astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
+            ones[:width] += (unit[:len(body)] @ body).astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
+        # Onto the lines; padded bits stay 0, so they never switch.
+        gram = gram[np.ix_(self._order, self._order)] * self._signs
+        ones = np.where(self._flip == 1, n - ones[self._order], ones[self._order])
+        ends = np.zeros((2, self.n_lines), dtype=np.uint8)
+        ends[:, :width] = _word_levels(words[[0, -1]], width)
+        first, last = ends[:, self._order] ^ self._flip
+        with self._lock:
+            if self._last is not None:
+                # The transition across the batch boundary, on the lines.
+                step = first.astype(np.int64) - self._last
+                gram += np.outer(step, step)
+            self._gram += gram
+            self._ones += ones
+            self._n_samples += n
+            self._last = last
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-able snapshot of the exact accumulated stream moments.
@@ -419,31 +471,8 @@ class EnergyAccount:
                 f"account state is for {state.get('n_lines')!r} lines, "
                 f"account has {n}"
             )
-        # np.asarray raises TypeError on None/non-numeric input; keep
-        # the whole validation surface ValueError so callers (e.g.
-        # LinkSession.restore's atomic rollback) catch one family.
-        try:
-            gram = np.asarray(state.get("gram"), dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"account state 'gram' must be an integer matrix: {exc}"
-            ) from None
-        if gram.shape != (n, n):
-            raise ValueError(
-                f"account state 'gram' must be ({n}, {n}), "
-                f"got shape {gram.shape}"
-            )
-        try:
-            ones = np.asarray(state.get("ones"), dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"account state 'ones' must be an integer vector: {exc}"
-            ) from None
-        if ones.shape != (n,):
-            raise ValueError(
-                f"account state 'ones' must have {n} entries, "
-                f"got shape {ones.shape}"
-            )
+        gram = _state_array(state, "gram", (n, n))
+        ones = _state_array(state, "ones", (n,))
         n_samples = state.get("n_samples")
         if not isinstance(n_samples, int) or isinstance(n_samples, bool) \
                 or n_samples < 0:
@@ -455,16 +484,10 @@ class EnergyAccount:
             raise ValueError(
                 "account state 'ones' counts must be in 0..n_samples"
             )
-        raw_last = state.get("last")
         last: Optional[np.ndarray] = None
-        if raw_last is not None:
-            try:
-                last = np.asarray(raw_last, dtype=np.int64)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"account state 'last' must be a bit vector: {exc}"
-                ) from None
-            if last.shape != (n,) or not np.isin(last, (0, 1)).all():
+        if state.get("last") is not None:
+            last = _state_array(state, "last", (n,))
+            if not np.isin(last, (0, 1)).all():
                 raise ValueError(
                     f"account state 'last' must be {n} bits (0/1)"
                 )
@@ -484,11 +507,6 @@ class EnergyAccount:
     def n_samples(self) -> int:
         with self._lock:
             return self._n_samples
-
-    @property
-    def n_transitions(self) -> int:
-        with self._lock:
-            return max(0, self._n_samples - 1)
 
     def statistics(self) -> Optional[BitStatistics]:
         """The accumulated stream's :class:`BitStatistics`, or ``None``.
@@ -534,7 +552,7 @@ class EnergyAccount:
 
 
 #: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``). ``T`` = batch samples, ``N`` = lines.
+#: ``docs/static_analysis.md``). ``T`` = batch words, ``N`` = lines.
 REPRO_SIGNATURES = {
     "LatencyHistogram.record": {"seconds": "scalar second"},
     "LatencyHistogram.percentile": {
@@ -549,13 +567,15 @@ REPRO_SIGNATURES = {
     "EnergyAccount": {
         "n_lines": "scalar dimensionless",
         "capacitance": "(N, N) farad spice | LinearCapacitanceModel",
+        "width": "scalar dimensionless",
+        "assignment": "SignedPermutation",
     },
-    "EnergyAccount.update": {"bits": "(T, N) bit"},
+    "EnergyAccount.update": {"words": "(T,) dimensionless"},
     "EnergyAccount.statistics": {"return": "BitStatistics"},
     "EnergyAccount.normalized_power": {"return": "scalar farad"},
     "EnergyAccount.n_lines": "scalar dimensionless",
+    "EnergyAccount.width": "scalar dimensionless",
     "EnergyAccount.n_samples": "scalar dimensionless",
-    "EnergyAccount.n_transitions": "scalar dimensionless",
     # Concurrency discipline (see the REP2xx section of the docs): these
     # classes are updated from worker threads and snapshotted from the
     # event loop, so every mutable field is guarded by its owner's lock.

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.assignment import SignedPermutation
-from repro.datagen.util import words_to_bits
 from repro.coding.kernels import MAX_WORD_WIDTH
 from repro.serve.codecs import (
     CodecChain,
@@ -202,17 +201,15 @@ class LinkConfig:
 class LinkSession:
     """One live coded link: codec state, routing, and energy accounts.
 
-    ``encode`` maps payload words to coded transport words, routes the
-    coded bits onto the TSV lines through the configured assignment and
-    books them (plus the uncoded reference bits) into the energy
-    accounts; ``decode`` is the exact inverse of ``encode`` on the word
+    ``encode`` maps payload words to coded transport words and books
+    them (plus the uncoded payload words) into the energy accounts, which
+    route the coded bits onto the TSV lines through the configured
+    assignment; ``decode`` is the exact inverse of ``encode`` on the word
     level and books nothing (the receive side of a link does not drive
     the bus).
     """
 
     def __init__(self, config: LinkConfig) -> None:
-        from repro.experiments.common import cap_model_for
-
         self.config = config
         geometry = config.geometry
         self.n_lines = geometry.n_tsvs
@@ -220,28 +217,13 @@ class LinkSession:
             self.chain: CodecChain = build_chain(
                 config.codecs, config.width, geometry=geometry
             )
+            # The accounts check that both widths and the assignment fit
+            # the array's lines.
+            self.coded_energy, self.uncoded_energy = self._accounts(
+                self.chain.width_out
+            )
         except ValueError as exc:
             raise LinkConfigError(str(exc)) from exc
-        if self.chain.width_out > self.n_lines:
-            raise LinkConfigError(
-                f"chain produces {self.chain.width_out}-bit words but the "
-                f"{geometry.rows}x{geometry.cols} array has only "
-                f"{self.n_lines} TSVs"
-            )
-        if config.width > self.n_lines:
-            raise LinkConfigError(
-                f"{config.width}-bit payload does not fit the "
-                f"{self.n_lines}-TSV array"
-            )
-        if config.assignment is None:
-            self.assignment = SignedPermutation.identity(self.n_lines)
-        elif len(config.assignment.line_of_bit) != self.n_lines:
-            raise LinkConfigError(
-                f"assignment covers {len(config.assignment.line_of_bit)} "
-                f"lines, array has {self.n_lines}"
-            )
-        else:
-            self.assignment = config.assignment
         # Prime the chain once at link creation: the first encode pays
         # one-time kernel warm-up (ufunc dispatch caches, lazy buffers)
         # that would otherwise land inside the first served request's
@@ -250,9 +232,6 @@ class LinkSession:
         self.chain.encode(np.zeros(1, dtype=np.int64))
         self.chain.decode(np.zeros(1, dtype=np.int64))
         self.chain.reset()
-        capacitance = cap_model_for(geometry, config.cap_method)
-        self.coded_energy = EnergyAccount(self.n_lines, capacitance)
-        self.uncoded_energy = EnergyAccount(self.n_lines, capacitance)
         #: Highest fleet sequence number whose effect is reflected in the
         #: codec histories and energy accounts. 0 = nothing applied. The
         #: fleet front uses this cut to trim its replay journal: a
@@ -263,13 +242,18 @@ class LinkSession:
 
     # -- data path ----------------------------------------------------------
 
-    def _pad_lines(self, bits: np.ndarray) -> np.ndarray:
-        """Zero-pad a bit batch up to the array's full line count."""
-        if bits.shape[1] == self.n_lines:
-            return bits
-        padded = np.zeros((bits.shape[0], self.n_lines), dtype=bits.dtype)
-        padded[:, : bits.shape[1]] = bits
-        return padded
+    def _accounts(self, width_out: int) -> Tuple[EnergyAccount, EnergyAccount]:
+        """Fresh accounts: routed transport words, unrouted payload words."""
+        from repro.experiments.common import cap_model_for
+
+        capacitance = cap_model_for(
+            self.config.geometry, self.config.cap_method
+        )
+        return (
+            EnergyAccount(self.n_lines, capacitance, width_out,
+                          self.config.assignment),
+            EnergyAccount(self.n_lines, capacitance, self.config.width),
+        )
 
     def encode(
         self, words: np.ndarray, seq: Optional[int] = None
@@ -283,21 +267,8 @@ class LinkSession:
         """
         with self._lock:
             coded = self.chain.encode(words)
-            if len(coded):
-                coded_bits = self._pad_lines(
-                    words_to_bits(coded, self.chain.width_out)
-                )
-                self.coded_energy.update(
-                    self.assignment.apply_to_bits(coded_bits)
-                )
-                self.uncoded_energy.update(
-                    self._pad_lines(
-                        words_to_bits(
-                            np.asarray(words, dtype=np.int64),
-                            self.config.width,
-                        )
-                    )
-                )
+            self.coded_energy.update(coded)
+            self.uncoded_energy.update(words)
             if seq is not None:
                 self.applied_seq = max(self.applied_seq, int(seq))
             return coded
@@ -314,15 +285,11 @@ class LinkSession:
 
     def reset(self, seq: Optional[int] = None) -> None:
         """Restart the stream: codec histories and energy accounts."""
-        from repro.experiments.common import cap_model_for
-
         with self._lock:
             self.chain.reset()
-            capacitance = cap_model_for(
-                self.config.geometry, self.config.cap_method
+            self.coded_energy, self.uncoded_energy = self._accounts(
+                self.chain.width_out
             )
-            self.coded_energy = EnergyAccount(self.n_lines, capacitance)
-            self.uncoded_energy = EnergyAccount(self.n_lines, capacitance)
             if seq is not None:
                 self.applied_seq = max(self.applied_seq, int(seq))
 
@@ -369,24 +336,19 @@ class LinkSession:
             )
         with self._lock:
             previous = self._snapshot_locked()
+            parts = (("chain", self.chain),
+                     ("coded_energy", self.coded_energy),
+                     ("uncoded_energy", self.uncoded_energy))
             try:
-                self.chain.load_state_dict(snapshot.get("chain"))
-                self.coded_energy.load_state_dict(
-                    snapshot.get("coded_energy")
-                )
-                self.uncoded_energy.load_state_dict(
-                    snapshot.get("uncoded_energy")
-                )
+                for key, part in parts:
+                    part.load_state_dict(snapshot.get(key))
             except (ValueError, TypeError):
                 # TypeError is belt-and-braces: the state_dict loaders
                 # validate to ValueError, but a malformed leaf slipping
                 # through as TypeError must also leave the session on
                 # its pre-call state, not half-restored.
-                self.chain.load_state_dict(previous["chain"])
-                self.coded_energy.load_state_dict(previous["coded_energy"])
-                self.uncoded_energy.load_state_dict(
-                    previous["uncoded_energy"]
-                )
+                for key, part in parts:
+                    part.load_state_dict(previous[key])
                 raise
             self.applied_seq = seq
 

@@ -130,36 +130,52 @@ class TestRetries:
         assert queue.attempts(fingerprint) == 0
 
 
+class FakeClock:
+    """Wall clock the lease tests advance by hand (no sleeping)."""
+
+    def __init__(self, now=1.0e9):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+    def advance(self, seconds):
+        self.now += seconds
+
+
 class TestLeaseExpiry:
     def test_silent_lease_reclaimed(self, tmp_path):
-        dead = JobQueue(tmp_path)
+        clock = FakeClock()
+        dead = JobQueue(tmp_path, clock=clock)
         _submit_all(dead, _jobs(n_points=1))
         claim = dead.claim("dead-worker")
         fingerprint = claim.job.fingerprint
         # A *different* process (fresh queue object, no held set) sweeps.
-        sweeper = JobQueue(tmp_path)
+        sweeper = JobQueue(tmp_path, clock=clock)
         assert sweeper.reclaim_expired(lease_timeout_s=3600.0) == []
-        time.sleep(0.05)
+        clock.advance(0.05)
         assert sweeper.reclaim_expired(lease_timeout_s=0.01) == [fingerprint]
         assert sweeper.counts()["pending"] == 1
         assert sweeper.attempts(fingerprint) == 1
 
     def test_own_live_claim_never_reclaimed(self, tmp_path):
-        queue = JobQueue(tmp_path)
+        clock = FakeClock()
+        queue = JobQueue(tmp_path, clock=clock)
         _submit_all(queue, _jobs(n_points=1))
         queue.claim("w0")
-        time.sleep(0.05)
+        clock.advance(0.05)
         assert queue.reclaim_expired(lease_timeout_s=0.01) == []
 
     def test_heartbeat_keeps_lease_alive(self, tmp_path):
-        holder = JobQueue(tmp_path)
+        clock = FakeClock()
+        holder = JobQueue(tmp_path, clock=clock)
         _submit_all(holder, _jobs(n_points=1))
         claim = holder.claim("w0")
-        sweeper = JobQueue(tmp_path)
-        time.sleep(0.15)
+        sweeper = JobQueue(tmp_path, clock=clock)
+        clock.advance(0.15)
         holder.heartbeat_held()
         assert sweeper.reclaim_expired(lease_timeout_s=0.1) == []
-        time.sleep(0.15)
+        clock.advance(0.15)
         assert sweeper.reclaim_expired(lease_timeout_s=0.1) == [
             claim.job.fingerprint
         ]
@@ -178,11 +194,12 @@ class TestLeaseExpiry:
         assert sweeper.reclaim_expired(lease_timeout_s=0.01) == [fingerprint]
 
     def test_exhausted_reclaims_park_in_failed(self, tmp_path):
-        queue = JobQueue(tmp_path, max_attempts=1)
+        clock = FakeClock()
+        queue = JobQueue(tmp_path, max_attempts=1, clock=clock)
         _submit_all(queue, _jobs(n_points=1))
         queue.claim("crashy")
-        sweeper = JobQueue(tmp_path, max_attempts=1)
-        time.sleep(0.05)
+        sweeper = JobQueue(tmp_path, max_attempts=1, clock=clock)
+        clock.advance(0.05)
         sweeper.reclaim_expired(lease_timeout_s=0.01)
         assert sweeper.counts()["failed"] == 1
         assert sweeper.counts()["pending"] == 0

@@ -5,6 +5,8 @@ so the suite runs on the plain pytest the repo already depends on.
 """
 
 import asyncio
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,6 +116,89 @@ class TestDataPath:
             np.testing.assert_array_equal(result, [3])
 
         run(body)
+
+
+class TestContinuousBatching:
+    """``window_s=0``: drain what is queued, never wait for more."""
+
+    def test_requests_queued_before_the_worker_wakes_form_one_batch(self):
+        async def body(engine):
+            engine.create_link("L", make_config(
+                codecs=[{"kind": "businvert"}]
+            ))
+            chunks = [np.arange(i, i + 10) for i in range(20)]
+            futures = [
+                engine.enqueue("L", "encode", chunk) for chunk in chunks
+            ]
+            await asyncio.gather(*futures)
+            snapshot = engine.stats("L")["metrics"]
+            assert snapshot["batches"] == 1
+            assert snapshot["requests"] == 20
+            assert snapshot["max_batch_words"] == 200
+
+        run(body, policy=BatchPolicy(window_s=0.0))
+
+    def test_drain_respects_the_request_cap(self):
+        async def body(engine):
+            engine.create_link("L", make_config())
+            futures = [
+                engine.enqueue("L", "encode", np.arange(10))
+                for _ in range(20)
+            ]
+            await asyncio.gather(*futures)
+            assert engine.stats("L")["metrics"]["batches"] == 3
+
+        run(body, policy=BatchPolicy(window_s=0.0, max_batch_requests=8))
+
+    def test_lone_request_is_not_held_for_a_window(self):
+        async def body(engine):
+            engine.create_link("L", make_config())
+            result = await engine.submit("L", "encode", np.arange(8))
+            np.testing.assert_array_equal(result, np.arange(8))
+            return engine.stats("L")["metrics"]["batches"]
+
+        # The worker only ever waits for a window through wait_for.
+        with mock.patch.object(
+            asyncio, "wait_for", wraps=asyncio.wait_for
+        ) as waits:
+            assert run(body) == 1
+            assert waits.call_count == 0
+            run(body, policy=BatchPolicy(window_s=0.01))
+            assert waits.call_count == 1
+
+    def test_direction_flip_closes_a_drained_batch(self):
+        async def body(engine):
+            engine.create_link("L", make_config(
+                codecs=[{"kind": "gray"}]
+            ))
+            words = np.arange(16)
+            coded = await engine.submit("L", "encode", words)
+            futures = [
+                engine.enqueue("L", "encode", words),
+                engine.enqueue("L", "encode", words),
+                engine.enqueue("L", "decode", coded),
+                engine.enqueue("L", "encode", words),
+            ]
+            results = await asyncio.gather(*futures)
+            np.testing.assert_array_equal(results[2], words)
+            # [submit], [encode, encode], [decode], [encode]
+            assert engine.stats("L")["metrics"]["batches"] == 4
+
+        run(body, policy=BatchPolicy(window_s=0.0))
+
+    def test_default_pool_size_follows_the_affinity(self, monkeypatch):
+        async def body(engine):
+            return engine._pool._max_workers
+
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert run(body) == 4
+        assert run(body, max_workers=2) == 2
+        # Without an affinity API, every core counts.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert run(body) == 7
 
 
 class TestBackpressure:

@@ -316,3 +316,17 @@ class TestOrphanGuard:
             time.sleep(0.1)
         os.kill(worker_pid, 9)  # don't leak it past the failing test
         pytest.fail("orphaned worker still alive after 15s")
+
+
+class TestWorkerEntryPoint:
+    def test_worker_module_runs_under_warnings_as_errors(self):
+        # Every fleet worker starts as `python -m repro.serve.worker`.
+        # If importing the package already loaded that module, runpy
+        # warns (RuntimeWarning) before running it; -W error fails then.
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.serve.worker",
+             "--help"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "usage" in proc.stdout

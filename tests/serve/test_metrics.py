@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.common import cap_model_for
+from repro.core.assignment import SignedPermutation
 from repro.core.fastpower import CompiledPowerModel
+from repro.datagen.util import words_to_bits
 from repro.serve import metrics
 from repro.serve.metrics import (
     EnergyAccount,
@@ -22,25 +24,54 @@ from repro.tsv.geometry import TSVArrayGeometry
 GEOMETRY = TSVArrayGeometry(rows=2, cols=3, pitch=4.0e-6, radius=1.0e-6)
 
 
-def bit_stream(n, lines, seed=0):
-    return np.random.default_rng(seed).integers(
-        0, 2, (n, lines)
-    ).astype(np.uint8)
+def word_stream(n, width, seed=0):
+    return np.random.default_rng(seed).integers(0, 1 << width, n)
+
+
+#: Five-bit words on six lines, routed with inversions; bit 5 is the
+#: padding bit (always 0) and its line is inverted, so it carries 1s.
+WIDTH = 5
+ASSIGNMENT = SignedPermutation.from_sequence(
+    [3, 0, 5, 1, 4, 2], [True, False, False, True, False, True]
+)
+
+
+def routed_bits(words, width=WIDTH, assignment=ASSIGNMENT):
+    """The oracle: the line-domain bit stream the words put on the bus."""
+    bits = np.zeros((len(words), assignment.n_bits), dtype=np.uint8)
+    bits[:, :width] = words_to_bits(np.asarray(words), width)
+    return assignment.apply_to_bits(bits)
+
+
+def routed_account(capacitance=None):
+    return EnergyAccount(
+        6, capacitance or cap_model_for(GEOMETRY), WIDTH, ASSIGNMENT
+    )
 
 
 class TestEnergyAccountExactness:
-    """Batched accumulation == offline whole-stream statistics, bit for bit."""
+    """Batched word booking == offline statistics of the routed bit
+    stream, bit for bit."""
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(0, 400), max_size=5))
-    def test_matches_from_stream_under_any_batching(self, cuts):
-        bits = bit_stream(400, 6)
+    @given(
+        st.lists(st.integers(0, 400), max_size=5),
+        st.permutations(range(6)),
+        st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    def test_matches_from_stream_under_any_batching(
+        self, cuts, lines, inverted
+    ):
+        assignment = SignedPermutation.from_sequence(lines, inverted)
+        words = word_stream(400, WIDTH)
         capacitance = cap_model_for(GEOMETRY)
-        account = EnergyAccount(6, capacitance)
-        edges = [0] + sorted(set(cuts)) + [len(bits)]
+        account = EnergyAccount(6, capacitance, WIDTH, assignment)
+        edges = [0] + sorted(set(cuts)) + [len(words)]
         for a, b in zip(edges[:-1], edges[1:]):
-            account.update(bits[a:b])
-        offline = BitStatistics.from_stream(bits)
+            account.update(words[a:b])
+        offline = BitStatistics.from_stream(
+            routed_bits(words, assignment=assignment)
+        )
         online = account.statistics()
         np.testing.assert_array_equal(online.coupling, offline.coupling)
         np.testing.assert_array_equal(
@@ -55,32 +86,57 @@ class TestEnergyAccountExactness:
     def test_boundary_transition_is_counted(self):
         capacitance = cap_model_for(GEOMETRY)
         account = EnergyAccount(6, capacitance)
-        account.update(np.zeros((1, 6), dtype=np.uint8))
-        account.update(np.ones((1, 6), dtype=np.uint8))
+        account.update(np.array([0]))
+        account.update(np.array([63]))
         stats = account.statistics()
         # The only transition flips all six lines.
         np.testing.assert_array_equal(
             stats.self_switching, np.ones(6)
         )
+        # Routed: the boundary step is taken on the lines, so inverted
+        # lines flip sign and the padding line never moves.
+        routed = routed_account(capacitance)
+        routed.update(np.array([0]))
+        routed.update(np.array([31]))
+        np.testing.assert_array_equal(
+            routed.statistics().coupling,
+            BitStatistics.from_stream(routed_bits([0, 31])).coupling,
+        )
+        assert routed.statistics().self_switching.sum() == WIDTH
 
     def test_empty_and_single_sample(self):
-        account = EnergyAccount(6, cap_model_for(GEOMETRY))
+        account = routed_account()
         assert account.statistics() is None
         assert account.normalized_power() is None
-        account.update(np.zeros((0, 6), dtype=np.uint8))
+        account.update(np.zeros(0, dtype=np.int64))
         assert account.n_samples == 0
-        account.update(np.zeros((1, 6), dtype=np.uint8))
+        account.update(np.zeros(1, dtype=np.int64))
         assert account.statistics() is None
+        assert account.state_dict()["last"] == routed_bits([0])[0].tolist()
         report = account.report()
         assert report["normalized_power_farad"] is None
         assert report["power_mw"] is None
 
     def test_shape_validation(self):
-        account = EnergyAccount(6, cap_model_for(GEOMETRY))
+        account = routed_account()
         with pytest.raises(ValueError, match="expected"):
-            account.update(np.zeros((3, 5), dtype=np.uint8))
-        with pytest.raises(ValueError, match="n_lines"):
+            account.update(np.zeros((3, 5), dtype=np.int64))
+        with pytest.raises(ValueError, match="expected"):
+            account.update(np.zeros(3, dtype=np.float64))
+        with pytest.raises(ValueError, match="unsigned range"):
+            account.update(np.array([1 << WIDTH]))
+        with pytest.raises(ValueError, match="unsigned range"):
+            account.update(np.array([-1]))
+        assert account.n_samples == 0
+        with pytest.raises(ValueError, match="only 0 lines"):
             EnergyAccount(0, cap_model_for(GEOMETRY))
+        with pytest.raises(ValueError, match="got 7"):
+            EnergyAccount(6, cap_model_for(GEOMETRY), 7)
+        with pytest.raises(ValueError, match="assignment"):
+            EnergyAccount(
+                6, cap_model_for(GEOMETRY), 5,
+                SignedPermutation.identity(5),
+            )
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 60), max_size=8))
@@ -88,39 +144,39 @@ class TestEnergyAccountExactness:
         # Slabs of 5 rows split every batch longer than 5 across several
         # float32 SGEMM/SGEMV calls; 1-row and empty batches come from
         # repeated and adjacent cut points.
-        bits = bit_stream(60, 6, seed=len(cuts))
-        account = EnergyAccount(6, cap_model_for(GEOMETRY))
-        edges = [0] + sorted(cuts) + [len(bits)]
+        words = word_stream(60, WIDTH, seed=len(cuts))
+        account = routed_account()
+        edges = [0] + sorted(cuts) + [len(words)]
         with mock.patch.object(metrics, "_GRAM_SLAB_ROWS", 5):
             for a, b in zip(edges[:-1], edges[1:]):
-                account.update(bits[a:b])
-        wide = bits.astype(np.int64)
+                account.update(words[a:b])
+        wide = routed_bits(words).astype(np.int64)
         deltas = wide[1:] - wide[:-1]
         state = account.state_dict()
         assert state["gram"] == (deltas.T @ deltas).tolist()
         assert state["ones"] == wide.sum(axis=0).tolist()
-        assert state["n_samples"] == len(bits)
+        assert state["n_samples"] == len(words)
         assert state["last"] == wide[-1].tolist()
 
     def test_single_row_batches_with_small_slabs(self):
-        bits = bit_stream(12, 6, seed=7)
-        account = EnergyAccount(6, cap_model_for(GEOMETRY))
+        words = word_stream(12, WIDTH, seed=7)
+        account = routed_account()
         with mock.patch.object(metrics, "_GRAM_SLAB_ROWS", 5):
-            account.update(bits[:0])
-            for row in range(len(bits)):
-                account.update(bits[row:row + 1])
-                account.update(bits[:0])
-        wide = bits.astype(np.int64)
+            account.update(words[:0])
+            for row in range(len(words)):
+                account.update(words[row:row + 1])
+                account.update(words[:0])
+        wide = routed_bits(words).astype(np.int64)
         deltas = wide[1:] - wide[:-1]
         state = account.state_dict()
         assert state["gram"] == (deltas.T @ deltas).tolist()
         assert state["ones"] == wide.sum(axis=0).tolist()
-        assert state["n_samples"] == len(bits)
+        assert state["n_samples"] == len(words)
         assert state["last"] == wide[-1].tolist()
 
     def test_report_units(self):
         account = EnergyAccount(6, cap_model_for(GEOMETRY))
-        account.update(bit_stream(100, 6))
+        account.update(word_stream(100, 6))
         report = account.report(vdd=1.0, frequency=2.0e9)
         power = account.normalized_power()
         assert report["power_mw"] == pytest.approx(

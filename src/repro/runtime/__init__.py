@@ -8,7 +8,9 @@ Every long-running computation in the library goes through this package:
   clean SIGINT semantics around parallel work;
 * :mod:`repro.runtime.faults` — the fault-injection harness that the
   ``tests/runtime`` chaos suite (and CI's chaos job) uses to prove the
-  recovery invariants hold.
+  recovery invariants hold;
+* :mod:`repro.runtime.cores` — :func:`usable_cores`, the one core count
+  that sizes every thread pool.
 
 See ``docs/robustness.md`` for the checkpoint format, the fault-spec
 mini-language and the determinism-under-retry argument.
@@ -29,6 +31,7 @@ from repro.runtime.artifacts import (
     payload_digest,
     restore_rng_state,
 )
+from repro.runtime.cores import usable_cores
 from repro.runtime.faults import (
     FAULTS_ENV_VAR,
     FaultPlan,
@@ -72,4 +75,5 @@ __all__ = [
     "RunControl",
     "SupervisionReport",
     "spawn_seed_sequences",
+    "usable_cores",
 ]

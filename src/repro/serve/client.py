@@ -402,7 +402,11 @@ class LinkClient:
         words: np.ndarray,
         deadline_s: Optional[float] = None,
     ) -> np.ndarray:
-        """Encode one chunk (single request, single response)."""
+        """Encode one chunk (single request, single response).
+
+        The result is a read-only view of the response frame; copy it to
+        modify it in place.
+        """
         return self._data("encode", link, words, deadline_s)
 
     def decode(
@@ -411,7 +415,8 @@ class LinkClient:
         words: np.ndarray,
         deadline_s: Optional[float] = None,
     ) -> np.ndarray:
-        """Decode one chunk (single request, single response)."""
+        """Decode one chunk (single request, single response); the result
+        is read-only, as for :meth:`encode`."""
         return self._data("decode", link, words, deadline_s)
 
     def _data(

@@ -28,7 +28,6 @@ path just like the offline solvers.
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.runtime.cores import usable_cores
 from repro.runtime.faults import fault_point
 from repro.runtime.supervision import Deadline, RunControl
 from repro.serve.metrics import LinkMetrics
@@ -160,10 +160,7 @@ class ServeEngine:
         self._links: Dict[str, _Link] = {}
         if max_workers is None:
             # One batch thread per core this process may run on, plus one.
-            max_workers = 1 + (
-                len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-            )
+            max_workers = 1 + usable_cores()
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )

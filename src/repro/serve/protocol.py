@@ -214,17 +214,23 @@ def words_to_payload(words: np.ndarray) -> bytes:
         raise ProtocolError(f"word stream must be 1-D, got {words.ndim}-D")
     if not np.issubdtype(words.dtype, np.integer):
         raise ProtocolError(f"word stream must be integer, got {words.dtype}")
-    return words.astype("<i8").tobytes()
+    # One copy for a native int64 stream on a little-endian host: the
+    # cast is a no-op and ``tobytes`` is the copy.
+    return words.astype("<i8", copy=False).tobytes()
 
 
 def payload_to_words(payload: bytes) -> np.ndarray:
-    """Parse a wire payload back into a native int64 word stream."""
+    """Parse a wire payload back into a native int64 word stream.
+
+    On a little-endian host the result is a read-only view of
+    ``payload``, not a copy; codecs and energy accounts only read it.
+    """
     if len(payload) % WORD_BYTES:
         raise ProtocolError(
             f"payload of {len(payload)} bytes is not a whole number of "
             f"{WORD_BYTES}-byte words"
         )
-    return np.frombuffer(payload, dtype="<i8").astype(np.int64)
+    return np.frombuffer(payload, dtype="<i8").astype(np.int64, copy=False)
 
 
 #: Shape/unit signatures for the deep-lint flow pass (see

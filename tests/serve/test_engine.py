@@ -5,13 +5,13 @@ so the suite runs on the plain pytest the repo already depends on.
 """
 
 import asyncio
-import os
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.runtime.faults import inject_faults
+from repro.serve import engine as engine_module
 from repro.serve.engine import (
     BatchPolicy,
     DeadlineExceededError,
@@ -190,15 +190,10 @@ class TestContinuousBatching:
         async def body(engine):
             return engine._pool._max_workers
 
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False
-        )
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        # One batch thread per usable core, plus one.
+        monkeypatch.setattr(engine_module, "usable_cores", lambda: 3)
         assert run(body) == 4
         assert run(body, max_workers=2) == 2
-        # Without an affinity API, every core counts.
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert run(body) == 7
 
 
 class TestBackpressure:

@@ -85,6 +85,23 @@ class TestPayloadCodec:
             payload_to_words(words_to_payload(words)), words
         )
 
+    def test_payload_parses_to_a_read_only_view(self):
+        payload = words_to_payload(np.arange(5, dtype=np.int64))
+        words = payload_to_words(payload)
+        assert words.dtype == np.int64 and words.dtype.isnative
+        assert not words.flags.writeable
+        assert np.shares_memory(words, np.frombuffer(payload, np.uint8))
+
+    @pytest.mark.parametrize("words", [
+        np.array([-3, 7, 2**31 - 1], dtype=np.int32),
+        np.array([-3, 7, 2**40], dtype=">i8"),
+        np.arange(12, dtype=np.int64)[::3],
+    ])
+    def test_any_integer_layout_packs_as_little_endian_int64(self, words):
+        payload = words_to_payload(words)
+        assert payload == np.asarray(words, dtype="<i8").tobytes()
+        np.testing.assert_array_equal(payload_to_words(payload), words)
+
     def test_ragged_payload_rejected(self):
         with pytest.raises(ProtocolError, match="whole number"):
             payload_to_words(b"\x00" * 9)

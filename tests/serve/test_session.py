@@ -105,6 +105,34 @@ class TestLinkSession:
         ).power()
         assert session.uncoded_energy.normalized_power() == unrouted
 
+    @pytest.mark.parametrize("width,codecs", [
+        (8, [{"kind": "businvert"}]),
+        (8, [{"kind": "couplinginvert"}]),
+        (8, [{"kind": "correlator"}, {"kind": "gray"}]),
+        (5, [{"kind": "cac"}]),
+    ])
+    def test_read_only_words_serve_like_writable_ones(self, width, codecs):
+        # Served payloads arrive as read-only views of the frame bytes.
+        def served(read_only):
+            session = LinkSession(make_config(width=width, codecs=codecs))
+            coded, decoded = [], []
+            for seed in range(3):
+                words = np.random.default_rng(seed).integers(
+                    0, 1 << width, 700
+                )
+                words.flags.writeable = not read_only
+                coded.append(session.encode(words))
+                chunk = coded[-1].copy()
+                chunk.flags.writeable = not read_only
+                decoded.append(session.decode(chunk))
+            return coded, decoded, session.energy_report()
+
+        coded, decoded, report = served(read_only=True)
+        expected = served(read_only=False)
+        for got, want in zip(coded + decoded, expected[0] + expected[1]):
+            np.testing.assert_array_equal(got, want)
+        assert report == expected[2]
+
     def test_energy_report_shape(self):
         session = LinkSession(make_config())
         report = session.energy_report()

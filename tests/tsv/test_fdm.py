@@ -4,12 +4,13 @@ These use a deliberately coarse resolution so the whole file runs in a few
 seconds; the physics trends are resolution-robust.
 """
 
-import math
+import threading
 
 import numpy as np
 import pytest
 
 from repro import constants
+from repro.tsv import fdm
 from repro.tsv.fdm import FDMFieldSolver, effective_silicon_permittivity
 from repro.tsv.geometry import PositionClass, TSVArrayGeometry
 from repro.tsv.matrices import asymmetry, total_capacitance
@@ -59,6 +60,28 @@ class TestValidation:
         geom = TSVArrayGeometry(rows=2, cols=2, pitch=8e-6, radius=2e-6)
         with pytest.raises(ValueError):
             FDMFieldSolver(geom, supersample=0)
+
+
+class TestSolvePool:
+    def test_failed_solve_leaves_no_thread_behind(self, monkeypatch):
+        class FailingLU:
+            calls = 0
+
+            def __init__(self, a_matrix):
+                pass
+
+            def solve(self, rhs):
+                FailingLU.calls += 1
+                raise RuntimeError("solve failed")
+
+        monkeypatch.setattr(fdm, "splu", FailingLU)
+        monkeypatch.setattr(fdm, "usable_cores", lambda: 4)
+        geom = TSVArrayGeometry(rows=2, cols=3, pitch=8e-6, radius=2e-6)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="solve failed"):
+            FDMFieldSolver(geom, resolution=COARSE).maxwell_matrix_per_length()
+        assert set(threading.enumerate()) == before
+        assert 1 <= FailingLU.calls <= 6
 
 
 class TestMatrixProperties:

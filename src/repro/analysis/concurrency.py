@@ -60,15 +60,14 @@ Run with ``repro-tsv lint --threads`` (also folded into ``--deep``).
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import (
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro.analysis.findings import Finding
@@ -77,7 +76,8 @@ from repro.analysis.program import (
     ModuleInfo,
     Pass,
     Program,
-    as_program,
+    StatementWalker,
+    self_attr,
 )
 
 __all__ = ["THREAD_RULES", "analyze_threads", "analyze_thread_source"]
@@ -121,37 +121,22 @@ def _lockset(held: Set[str]) -> frozenset:
     return frozenset(held) if held else _NO_LOCKS
 
 
-class _Access:
+class _Access(NamedTuple):
     """One read/write of a tracked field at one site."""
 
-    __slots__ = ("field", "kind", "locks", "node", "in_init")
-
-    def __init__(
-        self,
-        field: str,
-        kind: str,
-        locks: frozenset,
-        node: ast.AST,
-        in_init: bool,
-    ) -> None:
-        self.field = field
-        self.kind = kind  # "read" | "write"
-        self.locks = locks
-        self.node = node
-        self.in_init = in_init
+    field: str
+    kind: str  # "read" | "write"
+    locks: frozenset
+    node: ast.AST
+    in_init: bool
 
 
-class _Call:
+class _Call(NamedTuple):
     """One call site with the lockset held when it executes."""
 
-    __slots__ = ("resolved", "locks", "node")
-
-    def __init__(
-        self, resolved: Optional[str], locks: frozenset, node: ast.AST
-    ) -> None:
-        self.resolved = resolved
-        self.locks = locks
-        self.node = node
+    resolved: Optional[str]
+    locks: frozenset
+    node: ast.AST
 
 
 class _Scan:
@@ -215,9 +200,7 @@ class ThreadAnalyzer(Pass):
                     if (
                         isinstance(item, ast.Assign)
                         and len(item.targets) == 1
-                        and isinstance(item.targets[0], ast.Attribute)
-                        and isinstance(item.targets[0].value, ast.Name)
-                        and item.targets[0].value.id == "self"
+                        and self_attr(item.targets[0]) is not None
                         and self._is_lock_ctor(item.value, module)
                     ):
                         attrs.add(item.targets[0].attr)
@@ -274,12 +257,7 @@ class ThreadAnalyzer(Pass):
                 qualname = f"{module.name}.{class_name}.{func.attr}"
                 if qualname in self.functions:
                     return qualname
-            if (
-                isinstance(base, ast.Attribute)
-                and isinstance(base.value, ast.Name)
-                and base.value.id == "self"
-                and class_name
-            ):
+            if self_attr(base) is not None and class_name:
                 attr = self.registry.member_attribute(class_name, base.attr)
                 if attr is not None and attr.obj is not None:
                     candidates = self.member_index.get(
@@ -293,12 +271,7 @@ class ThreadAnalyzer(Pass):
         self, node: ast.expr, module: ModuleInfo, class_name: Optional[str]
     ) -> None:
         """Mark the target of a thread/executor hand-off as escaping."""
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and class_name
-        ):
+        if self_attr(node) is not None and class_name:
             self.escaped_classes.add(class_name)
             return
         canonical = module.imports.canonical(node)
@@ -677,11 +650,7 @@ class _ThreadTracker:
                     "created": node, "started": None, "joined": False,
                     "escaped": False, "_shielded": set(),
                 }
-            elif (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
+            elif self_attr(target) is not None:
                 self.attrs_created[target.attr] = node
 
     def _handle_attribute(self, node: ast.Attribute) -> None:
@@ -694,19 +663,24 @@ class _ThreadTracker:
                     state["started"] = node
                 elif node.attr == "join":
                     state["joined"] = True
-        elif (
-            isinstance(base, ast.Attribute)
-            and isinstance(base.value, ast.Name)
-            and base.value.id == "self"
-        ):
+        elif self_attr(base) is not None:
             if node.attr == "start":
                 self.attrs_started.setdefault(base.attr, node)
             elif node.attr == "join":
                 self.attrs_joined.add(base.attr)
 
 
-class _FunctionScanner:
-    """Walk one function body tracking the lockset at each statement."""
+class _FunctionScanner(StatementWalker):
+    """Walk one function body tracking the lockset at each statement.
+
+    The lockset is the walker state. Alternatives (branches, loops, a
+    ``try`` body and its handlers) join to the lockset before them, so
+    what they acquire or release stays inside them; a ``with`` block's
+    locks are released on exit. A ``try``'s ``else`` and ``finally``
+    share the outer lockset.
+    """
+
+    scope_with = True
 
     def __init__(
         self,
@@ -714,11 +688,12 @@ class _FunctionScanner:
         info: FunctionInfo,
         entry_locks: frozenset = frozenset(),
     ) -> None:
+        super().__init__()
         self.analyzer = analyzer
         self.info = info
         self.module = info.module
         self.class_name = info.class_name
-        self.entry_locks = entry_locks
+        self.held: Set[str] = set(entry_locks)
         self.scan = _Scan(info)
         self.in_init = info.node.name in ("__init__", "__new__")
         self.globals_declared: Set[str] = set()
@@ -743,7 +718,7 @@ class _FunctionScanner:
         self.local_names -= self.globals_declared
 
     def run(self) -> _Scan:
-        self.exec_block(self.info.node.body, set(self.entry_locks))
+        self.exec_block(self.info.node.body)
         return self.scan
 
     # -- lock identity ---------------------------------------------------------
@@ -773,7 +748,8 @@ class _FunctionScanner:
                 return f"{self.module.name}.{name}"
         return None
 
-    def _acquire(self, lock: str, held: Set[str], node: ast.AST) -> None:
+    def _acquire(self, lock: str, node: ast.AST) -> None:
+        held = self.held
         for existing in sorted(held):
             self.scan.edges.append((existing, lock, node))
         if lock in held:  # re-acquisition of a non-reentrant lock
@@ -781,103 +757,56 @@ class _FunctionScanner:
         self.scan.acquired.add(lock)
         held.add(lock)
 
-    # -- statements ------------------------------------------------------------
+    # -- walker hooks ----------------------------------------------------------
 
-    def exec_block(self, stmts: Sequence[ast.stmt], held: Set[str]) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt, held)
+    def snapshot(self) -> Set[str]:
+        return set(self.held)
 
-    def exec_stmt(self, stmt: ast.stmt, held: Set[str]) -> None:
-        if isinstance(stmt, ast.With):
-            inner = set(held)
-            for item in stmt.items:
-                lock = self.lock_id(item.context_expr)
-                if lock is not None:
-                    self._acquire(lock, inner, stmt)
-                else:
-                    self.scan_expr(item.context_expr, held)
-            self.exec_block(stmt.body, inner)
-        elif isinstance(stmt, ast.AsyncWith):
-            for item in stmt.items:
-                self.scan_expr(item.context_expr, held)
-            self.exec_block(stmt.body, set(held))
-        elif isinstance(stmt, ast.If):
-            self.scan_expr(stmt.test, held)
-            self.exec_block(stmt.body, set(held))
-            self.exec_block(stmt.orelse, set(held))
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self.scan_expr(stmt.iter, held)
-            self.exec_block(stmt.body, set(held))
-            self.exec_block(stmt.orelse, set(held))
-        elif isinstance(stmt, ast.While):
-            self.scan_expr(stmt.test, held)
-            self.exec_block(stmt.body, set(held))
-            self.exec_block(stmt.orelse, set(held))
-        elif isinstance(stmt, ast.Try):
-            self.exec_block(stmt.body, set(held))
-            for handler in stmt.handlers:
-                self.exec_block(handler.body, set(held))
-            self.exec_block(stmt.orelse, set(held))
-            self.exec_block(stmt.finalbody, held)
-        elif isinstance(stmt, ast.Expr):
-            if not self._acquire_release_stmt(stmt.value, held):
-                self.scan_expr(stmt.value, held)
-        elif isinstance(stmt, ast.Assign):
-            self.scan_expr(stmt.value, held)
-            for target in stmt.targets:
-                self.record_store(target, held)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self.scan_expr(stmt.value, held)
-                self.record_store(stmt.target, held)
-        elif isinstance(stmt, ast.AugAssign):
-            self.scan_expr(stmt.value, held)
-            # an augmented store reads then writes the target
-            self.record_load(stmt.target, held)
-            self.record_store(stmt.target, held)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self.scan_expr(stmt.value, held)
-        elif isinstance(stmt, ast.Raise):
-            if stmt.exc is not None:
-                self.scan_expr(stmt.exc, held)
-            if stmt.cause is not None:
-                self.scan_expr(stmt.cause, held)
-        elif isinstance(stmt, ast.Assert):
-            self.scan_expr(stmt.test, held)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                self.record_store(target, held)
-        # Import / Pass / Break / Continue / Global / Nonlocal and nested
-        # FunctionDef/ClassDef scopes carry no lockset facts.
+    def restore(self, state: Set[str]) -> None:
+        self.held = set(state)
 
-    def _acquire_release_stmt(
-        self, expr: ast.expr, held: Set[str]
-    ) -> bool:
-        """Handle statement-level ``X.acquire()`` / ``X.release()``."""
-        if not (
+    def join(self, base: Set[str], ends: Sequence[Set[str]]) -> None:
+        self.held = base
+
+    def bind(self, target: ast.expr, value: None, stmt: ast.AST) -> None:
+        self.record_store(target)
+
+    def augment(self, target: ast.expr, op: ast.operator, value: None) -> None:
+        self.record_load(target)  # an augmented store reads the target too
+
+    def enter(
+        self, expr: ast.expr, stmt: ast.stmt, asynchronous: bool
+    ) -> None:
+        lock = None if asynchronous else self.lock_id(expr)
+        if lock is not None:
+            self._acquire(lock, stmt)
+        else:
+            self.eval(expr)
+
+    def effect(self, expr: ast.expr) -> None:
+        """A statement-level ``X.acquire()`` / ``X.release()`` moves the
+        lockset; any other expression is scanned."""
+        if (
             isinstance(expr, ast.Call)
             and isinstance(expr.func, ast.Attribute)
             and expr.func.attr in ("acquire", "release")
         ):
-            return False
-        lock = self.lock_id(expr.func.value)
-        if lock is None:
-            return False
-        if expr.func.attr == "acquire":
-            self._acquire(lock, held, expr)
-        else:
-            held.discard(lock)
-        return True
+            lock = self.lock_id(expr.func.value)
+            if lock is not None:
+                if expr.func.attr == "acquire":
+                    self._acquire(lock, expr)
+                else:
+                    self.held.discard(lock)
+                return
+        self.eval(expr)
 
     # -- field accesses --------------------------------------------------------
 
     def _field_of_attribute(self, node: ast.Attribute) -> Optional[str]:
-        if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+        attr = self_attr(node)
+        if attr is None or self.class_name is None or "lock" in attr.lower():
             return None
-        if self.class_name is None or "lock" in node.attr.lower():
-            return None
-        return f"{self.class_name}.{node.attr}"
+        return f"{self.class_name}.{attr}"
 
     def _field_of_name(self, node: ast.Name) -> Optional[str]:
         if node.id in self.local_names and node.id not in self.globals_declared:
@@ -887,83 +816,78 @@ class _FunctionScanner:
             return field
         return None
 
-    def _record_access(
-        self, field: str, kind: str, held: Set[str], node: ast.AST
-    ) -> None:
+    def _field(self, node: ast.expr) -> Optional[str]:
+        if isinstance(node, ast.Attribute):
+            return self._field_of_attribute(node)
+        if isinstance(node, ast.Name):
+            return self._field_of_name(node)
+        return None
+
+    def _record_access(self, field: str, kind: str, node: ast.AST) -> None:
         self.scan.accesses.append(
-            _Access(field, kind, _lockset(held), node, self.in_init)
+            _Access(field, kind, _lockset(self.held), node, self.in_init)
         )
 
-    def record_store(self, target: ast.expr, held: Set[str]) -> None:
+    def record_store(self, target: ast.expr) -> None:
         if isinstance(target, ast.Attribute):
             field = self._field_of_attribute(target)
             if field is not None:
-                self._record_access(field, "write", held, target)
+                self._record_access(field, "write", target)
             else:
-                self.scan_expr(target.value, held)
+                self.eval(target.value)
         elif isinstance(target, ast.Name):
             field = self._field_of_name(target)
             if field is not None and target.id in self.globals_declared:
-                self._record_access(field, "write", held, target)
+                self._record_access(field, "write", target)
         elif isinstance(target, ast.Subscript):
             # Mutation through a container: a write to the holding field.
             base = target.value
-            self.scan_expr(target.slice, held)
-            if isinstance(base, ast.Attribute):
-                field = self._field_of_attribute(base)
-                if field is not None:
-                    self._record_access(field, "write", held, base)
-                    return
-            if isinstance(base, ast.Name):
-                field = self._field_of_name(base)
-                if field is not None:
-                    self._record_access(field, "write", held, base)
-                    return
-            self.scan_expr(base, held)
+            self.eval(target.slice)
+            field = self._field(base)
+            if field is not None:
+                self._record_access(field, "write", base)
+            else:
+                self.eval(base)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self.record_store(element, held)
+                self.record_store(element)
         elif isinstance(target, ast.Starred):
-            self.record_store(target.value, held)
+            self.record_store(target.value)
 
-    def record_load(self, target: ast.expr, held: Set[str]) -> None:
-        if isinstance(target, ast.Attribute):
-            field = self._field_of_attribute(target)
-            if field is not None:
-                self._record_access(field, "read", held, target)
-        elif isinstance(target, ast.Name):
-            field = self._field_of_name(target)
-            if field is not None:
-                self._record_access(field, "read", held, target)
-        elif isinstance(target, ast.Subscript):
-            self.record_load(target.value, held)
+    def record_load(self, target: ast.expr) -> None:
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        field = self._field(target)
+        if field is not None:
+            self._record_access(field, "read", target)
 
     # -- expressions -----------------------------------------------------------
 
-    def scan_expr(self, node: ast.expr, held: Set[str]) -> None:
+    def eval(self, node: ast.expr) -> None:
+        """Record the calls and field reads of ``node`` under the lockset."""
         for child in ast.walk(node):
             if isinstance(child, ast.Call):
-                self.handle_call(child, held)
+                self.handle_call(child)
             elif isinstance(child, ast.Attribute) and isinstance(
                 child.ctx, ast.Load
             ):
                 field = self._field_of_attribute(child)
                 if field is not None:
-                    self._record_access(field, "read", held, child)
+                    self._record_access(field, "read", child)
             elif isinstance(child, ast.Name) and isinstance(
                 child.ctx, ast.Load
             ):
                 field = self._field_of_name(child)
                 if field is not None:
-                    self._record_access(field, "read", held, child)
+                    self._record_access(field, "read", child)
 
-    def handle_call(self, call: ast.Call, held: Set[str]) -> None:
+    def handle_call(self, call: ast.Call) -> None:
         analyzer = self.analyzer
         canonical = self.module.imports.canonical(call.func)
         blocked = self._blocking_desc(call, canonical)
         if blocked is not None:
             self.scan.direct_blocks = True
-            self.scan.blocking.append((call, blocked, _lockset(held)))
+            self.scan.blocking.append((call, blocked, _lockset(self.held)))
         # Thread-escape seeds.
         if canonical in _THREAD_CTORS:
             for kw in call.keywords:
@@ -981,7 +905,7 @@ class _FunctionScanner:
                     call.args[1], self.module, self.class_name
                 )
         resolved = analyzer.resolve_call(call, self.module, self.class_name)
-        self.scan.calls.append(_Call(resolved, _lockset(held), call))
+        self.scan.calls.append(_Call(resolved, _lockset(self.held), call))
 
     def _blocking_desc(
         self, call: ast.Call, canonical: str
@@ -1005,21 +929,6 @@ class _FunctionScanner:
         return any(kw.arg == "timeout" for kw in call.keywords)
 
 
-# -- public entry points -------------------------------------------------------
-
-
-def analyze_threads(
-    paths: Union[Program, Sequence[Union[str, Path]]],
-) -> List[Finding]:
-    """Concurrency-lint every Python file under ``paths`` (REP201..206).
-
-    ``paths`` may also be an already loaded :class:`Program`.
-    """
-    return ThreadAnalyzer(as_program(paths)).run()
-
-
-def analyze_thread_source(
-    source: str, path: str = "<string>", module_name: Optional[str] = None
-) -> List[Finding]:
-    """Concurrency-lint one source string (test/tooling convenience)."""
-    return ThreadAnalyzer(Program.from_source(source, path, module_name)).run()
+#: REP201..REP206 over paths (or a loaded :class:`Program`), or one source.
+analyze_threads = ThreadAnalyzer.analyze
+analyze_thread_source = ThreadAnalyzer.analyze_source

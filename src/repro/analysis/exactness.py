@@ -50,7 +50,6 @@ and fires at the thread fan-out site.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import (
     Dict,
     FrozenSet,
@@ -61,7 +60,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro.analysis.findings import Finding
@@ -70,7 +68,8 @@ from repro.analysis.program import (
     ModuleInfo,
     Pass,
     Program,
-    as_program,
+    StatementWalker,
+    self_attr,
 )
 from repro.analysis.registry import Signature
 from repro.analysis.units import DIMENSIONLESS, AbstractValue
@@ -108,32 +107,16 @@ class Taint(NamedTuple):
 _NO_TAINTS: FrozenSet[Taint] = frozenset()
 
 
-class Fact:
+class Fact(NamedTuple):
     """Abstract value: exactness status plus determinism taints."""
 
-    __slots__ = (
-        "exact", "why", "reduction", "taints", "is_set", "is_rng", "spawned"
-    )
-
-    def __init__(
-        self,
-        exact: Optional[str] = None,  # None | "int" | "float"
-        why: Optional[str] = None,  # contamination origin, human-readable
-        reduction: bool = False,  # order-sensitive float accumulation
-        taints: FrozenSet[Taint] = _NO_TAINTS,
-        is_set: bool = False,  # an unordered collection (not yet iterated)
-        is_rng: bool = False,  # a Generator / SeedSequence handle
-        spawned: bool = False,  # derived via .spawn() — thread-safe to pass
-    ) -> None:
-        self.exact = exact
-        self.why = why
-        self.reduction = reduction
-        self.taints = taints
-        self.is_set = is_set
-        self.is_rng = is_rng
-        self.spawned = spawned
-
-    # -- constructors ----------------------------------------------------------
+    exact: Optional[str] = None  # None | "int" | "float"
+    why: Optional[str] = None  # contamination origin, human-readable
+    reduction: bool = False  # order-sensitive float accumulation
+    taints: FrozenSet[Taint] = _NO_TAINTS
+    is_set: bool = False  # an unordered collection (not yet iterated)
+    is_rng: bool = False  # a Generator / SeedSequence handle
+    spawned: bool = False  # derived via .spawn() — thread-safe to pass
 
     @classmethod
     def int_(cls, taints: FrozenSet[Taint] = _NO_TAINTS) -> "Fact":
@@ -149,21 +132,13 @@ class Fact:
         return cls(exact="float", why=why, reduction=reduction, taints=taints)
 
     def but(self, **overrides) -> "Fact":
-        fields = {name: getattr(self, name) for name in self.__slots__}
-        fields.update(overrides)
-        return Fact(**fields)
+        return self._replace(**overrides)
 
     def with_taints(self, taints: Iterable[Taint]) -> "Fact":
         extra = frozenset(taints)
         if not extra:
             return self
-        return self.but(taints=self.taints | extra)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Fact(exact={self.exact!r}, reduction={self.reduction}, "
-            f"taints={sorted(t.kind for t in self.taints)})"
-        )
+        return self._replace(taints=self.taints | extra)
 
 
 UNKNOWN = Fact()
@@ -372,6 +347,10 @@ def _fact_from_abstract(values: Optional[Sequence[AbstractValue]]) -> Fact:
     return _join_all(facts)
 
 
+#: The module-level statements whose bindings functions read.
+_BINDINGS = (ast.Assign, ast.AnnAssign, ast.AugAssign)
+
+
 def _origin(fact: Fact) -> str:
     return fact.why or "float arithmetic"
 
@@ -418,36 +397,6 @@ class ExactnessAnalyzer(Pass):
         if not interp.cyclic:
             self._settled[info.qualname] = found
         return interp.summary()
-
-    # -- sink lookup -----------------------------------------------------------
-
-    @staticmethod
-    def _names_for(info: FunctionInfo) -> List[str]:
-        return [info.qualname, info.short]
-
-    def is_exact_return(self, info: FunctionInfo) -> bool:
-        return any(
-            n in self.registry.exact_returns for n in self._names_for(info)
-        )
-
-    def is_deterministic_return(self, info: FunctionInfo) -> bool:
-        return any(
-            n in self.registry.deterministic_returns
-            for n in self._names_for(info)
-        )
-
-    def signature_for(self, info: FunctionInfo) -> Optional[Signature]:
-        for name in self._names_for(info):
-            sig = self.registry.functions.get(name)
-            if sig is not None:
-                return sig
-        return None
-
-    def exact_params_for(self, info: FunctionInfo) -> Set[str]:
-        params: Set[str] = set()
-        for name in self._names_for(info):
-            params |= self.registry.exact_params.get(name, set())
-        return params
 
     # -- findings --------------------------------------------------------------
 
@@ -516,8 +465,11 @@ class ExactnessAnalyzer(Pass):
         return self.result()
 
 
-class _Interp:
+class _Interp(StatementWalker):
     """Abstract interpreter for one function body (or a module scope)."""
+
+    unknown = UNKNOWN
+    eval_if_test = False
 
     def __init__(
         self,
@@ -526,6 +478,7 @@ class _Interp:
         record: bool,
         module: Optional[ModuleInfo] = None,
     ) -> None:
+        super().__init__()
         self.a = analyzer
         self.info = info
         self.record = record
@@ -534,31 +487,32 @@ class _Interp:
         self.imports = self.module.imports
         self.path = str(self.module.path)
         self.env: Dict[str, Fact] = {}
-        self.returns: List[Fact] = []
-        self.loop_depth = 0
         self._fanout_rngs: Dict[str, ast.AST] = {}
         self._fanout_reported: Set[str] = set()
         #: Set when a call read ``unknown`` for a summary in progress.
         self.cyclic = False
+        self.exact_return = self.det_return = False
         if info is not None:
-            self._seed_params()
-            self.exact_return = analyzer.is_exact_return(info)
-            self.det_return = analyzer.is_deterministic_return(info)
-        else:
-            self.exact_return = self.det_return = False
+            self._seed(info)
 
-    # -- parameter seeding -----------------------------------------------------
-
-    def _seed_params(self) -> None:
-        info = self.info
-        sig = self.a.signature_for(info)
-        exact_params = self.a.exact_params_for(info)
-        args = info.node.args
-        every = (
-            list(args.posonlyargs) + list(args.args)
-            + list(args.kwonlyargs)
+    def _seed(self, info: FunctionInfo) -> None:
+        """Sink flags and parameter facts from the function's annotations,
+        keyed by its qualified or short name."""
+        registry = self.a.registry
+        names = (info.qualname, info.short)
+        self.exact_return = any(n in registry.exact_returns for n in names)
+        self.det_return = any(
+            n in registry.deterministic_returns for n in names
         )
-        for arg in every:
+        sig = next(
+            (registry.functions[n] for n in names if n in registry.functions),
+            None,
+        )
+        exact_params: Set[str] = set()
+        for name in names:
+            exact_params |= registry.exact_params.get(name, set())
+        args = info.node.args
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
             if arg.arg in ("self", "cls"):
                 continue
             fact = UNKNOWN
@@ -574,7 +528,6 @@ class _Interp:
 
     def execute(self) -> None:
         self.exec_block(self.info.node.body)
-        self._flush_fanout()
 
     def summary(self) -> Fact:
         """The return-value fact of the executed function."""
@@ -587,108 +540,56 @@ class _Interp:
         return self.a.summary(qualname)
 
     def exec_module(self, module: ModuleInfo) -> None:
-        for node in module.tree.body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                self._exec(node)
+        """Bind the module's top-level assignments, nothing else."""
+        self.exec_block(
+            [node for node in module.tree.body if isinstance(node, _BINDINGS)]
+        )
 
-    def exec_block(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._exec(stmt)
+    # -- walker hooks ----------------------------------------------------------
 
-    def _exec(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            fact = self.eval(stmt.value)
-            for target in stmt.targets:
-                self._assign(target, fact, stmt)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._assign(stmt.target, self.eval(stmt.value), stmt)
-        elif isinstance(stmt, ast.AugAssign):
-            old = self._read_target(stmt.target)
-            new = self._binop(old, stmt.op, self.eval(stmt.value))
-            self._assign(stmt.target, new, stmt)
-        elif isinstance(stmt, ast.Return):
-            fact = self.eval(stmt.value) if stmt.value is not None else UNKNOWN
-            self.returns.append(fact)
-            if self.record and self.info is not None:
-                sink = f"{self.info.qualname}() return"
-                if self.exact_return:
-                    self.a.report_exact_violation(
-                        fact, stmt, self.path, sink
-                    )
-                if self.det_return:
-                    self.a.report_taints(fact, sink)
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value)
-        elif isinstance(stmt, ast.If):
-            base = dict(self.env)
-            self.exec_block(stmt.body)
-            branch = self.env
-            self.env = dict(base)
-            self.exec_block(stmt.orelse)
-            self._merge_env(branch)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            iter_fact = self.eval(stmt.iter)
-            self._assign(
-                stmt.target, self._element_of(iter_fact, stmt.iter), stmt
-            )
-            self.loop_depth += 1
-            self.exec_block(stmt.body)
-            self.loop_depth -= 1
-            self.exec_block(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self.eval(stmt.test)
-            self.loop_depth += 1
-            self.exec_block(stmt.body)
-            self.loop_depth -= 1
-            self.exec_block(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                fact = self.eval(item.context_expr)
-                if item.optional_vars is not None:
-                    self._assign(item.optional_vars, fact, stmt)
-            self.exec_block(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.exec_block(stmt.body)
-            for handler in stmt.handlers:
-                self.exec_block(handler.body)
-            self.exec_block(stmt.orelse)
-            self.exec_block(stmt.finalbody)
-        elif isinstance(stmt, (ast.Raise, ast.Assert)):
-            for value in (getattr(stmt, "exc", None),
-                          getattr(stmt, "test", None),
-                          getattr(stmt, "msg", None)):
-                if value is not None:
-                    self.eval(value)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    self.env.pop(target.id, None)
-        # Nested defs/classes are analyzed via their own FunctionInfo.
+    def snapshot(self) -> Dict[str, Fact]:
+        return dict(self.env)
 
-    def _merge_env(self, other: Dict[str, Fact]) -> None:
-        for name, fact in other.items():
-            if name in self.env:
-                self.env[name] = _join(self.env[name], fact)
-            else:
-                self.env[name] = fact
+    def restore(self, state: Dict[str, Fact]) -> None:
+        self.env = dict(state)
+
+    def join(
+        self, base: Dict[str, Fact], ends: Sequence[Dict[str, Fact]]
+    ) -> None:
+        """The last end's facts, joined with each earlier end's: a name
+        bound on one path only keeps that path's fact."""
+        env = ends[-1]
+        for end in ends[:-1]:
+            for name, fact in end.items():
+                env[name] = _join(env[name], fact) if name in env else fact
+        self.env = env
+
+    def on_return(self, stmt: ast.Return, fact: Fact) -> None:
+        self.returns.append(fact)
+        if self.record and self.info is not None:
+            sink = f"{self.info.qualname}() return"
+            if self.exact_return:
+                self.a.report_exact_violation(fact, stmt, self.path, sink)
+            if self.det_return:
+                self.a.report_taints(fact, sink)
+
+    def augment(self, target: ast.expr, op: ast.operator, fact: Fact) -> Fact:
+        return self._binop(self._read_target(target), op, fact)
 
     # -- assignment / sinks ----------------------------------------------------
 
-    def _assign(self, target: ast.expr, fact: Fact, stmt: ast.stmt) -> None:
+    def bind(self, target: ast.expr, fact: Fact, stmt: ast.AST) -> None:
         if isinstance(target, ast.Name):
             self.env[target.id] = fact
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 if fact.is_rng:
-                    self._assign(target=element, fact=fact, stmt=stmt)
+                    self.bind(element, fact, stmt)
                 else:
-                    self._assign(element, Fact(taints=fact.taints), stmt)
+                    self.bind(element, Fact(taints=fact.taints), stmt)
         elif isinstance(target, ast.Starred):
-            self._assign(target.value, Fact(taints=fact.taints), stmt)
-        elif isinstance(target, ast.Attribute) and isinstance(
-            target.value, ast.Name
-        ) and target.value.id == "self":
+            self.bind(target.value, Fact(taints=fact.taints), stmt)
+        elif self_attr(target) is not None:
             attr = target.attr
             self.env[f"self.{attr}"] = fact
             class_name = self.info.class_name if self.info else None
@@ -706,11 +607,8 @@ class _Interp:
     def _read_target(self, target: ast.expr) -> Fact:
         if isinstance(target, ast.Name):
             return self._name(target.id)
-        if isinstance(target, ast.Attribute) and isinstance(
-            target.value, ast.Name
-        ) and target.value.id == "self":
-            return self._self_attr(target.attr)
-        return UNKNOWN
+        attr = self_attr(target)
+        return UNKNOWN if attr is None else self._self_attr(attr)
 
     def _self_attr(self, attr: str) -> Fact:
         local = self.env.get(f"self.{attr}")
@@ -733,7 +631,7 @@ class _Interp:
 
     # -- iteration -------------------------------------------------------------
 
-    def _element_of(self, fact: Fact, node: ast.AST) -> Fact:
+    def element(self, fact: Fact, node: ast.AST) -> Fact:
         """Fact of one element drawn by iterating ``fact``."""
         taints = fact.taints
         if fact.is_set:
@@ -819,7 +717,7 @@ class _Interp:
         if isinstance(node, ast.DictComp):
             return self._comprehension(node, [node.key, node.value])
         if isinstance(node, ast.Starred):
-            return self._element_of(self.eval(node.value), node)
+            return self.element(self.eval(node.value), node)
         if isinstance(node, ast.JoinedStr):
             facts = [
                 self.eval(v.value)
@@ -854,8 +752,8 @@ class _Interp:
             self.loop_depth += 1
             for comp in node.generators:
                 iter_fact = self.eval(comp.iter)
-                self._assign(
-                    comp.target, self._element_of(iter_fact, comp.iter), node
+                self.bind(
+                    comp.target, self.element(iter_fact, comp.iter), node
                 )
                 for condition in comp.ifs:
                     self.eval(condition)
@@ -875,7 +773,7 @@ class _Interp:
                 Taint("wallclock", "os.environ", self.path,
                       node.lineno, node.col_offset)
             }))
-        if isinstance(node.value, ast.Name) and node.value.id == "self":
+        if self_attr(node) is not None:
             return self._self_attr(node.attr)
         base = self.eval(node.value)
         if node.attr in ("T", "real", "flat"):
@@ -923,7 +821,7 @@ class _Interp:
                 node, func, first, arg_facts, kw_facts, all_taints, dtype
             )
         return self._resolved_call(
-            node, canonical, func, arg_facts, kw_facts, all_taints
+            node, canonical, arg_facts, kw_facts, all_taints
         )
 
     def _intrinsic_call(
@@ -946,7 +844,7 @@ class _Interp:
         if canonical in ("list", "tuple"):
             if not arg_facts:
                 return UNKNOWN
-            return self._element_of(first, node)
+            return self.element(first, node)
         if canonical in ("set", "frozenset"):
             return Fact(is_set=True, taints=all_taints)
         if canonical == "dict":
@@ -1192,41 +1090,29 @@ class _Interp:
         self,
         node: ast.Call,
         canonical: str,
-        func: ast.expr,
         arg_facts: List[Fact],
         kw_facts: Dict[str, Fact],
         all_taints: FrozenSet[Taint],
     ) -> Fact:
-        names: List[str] = []
-        if canonical:
-            names.append(canonical)
-            tail = canonical.split(".")[-1]
-            if tail != canonical:
-                names.append(tail)
-        if isinstance(func, ast.Name):
-            names.append(func.id)
-            names.append(f"{self.module.name}.{func.id}")
+        if not canonical:
+            return Fact(taints=all_taints)
+        # Annotations name a callable by its canonical or its bare name.
+        tail = canonical.rpartition(".")[2]
         # @order_sensitive callables trump their inferred summaries.
-        if any(n in self.a.registry.order_sensitive for n in names):
-            label = names[0]
+        if {canonical, tail} & self.a.registry.order_sensitive:
             return Fact.float_(
-                f"order-sensitive accumulation in {label}()",
+                f"order-sensitive accumulation in {canonical}()",
                 reduction=True, taints=all_taints,
             )
-        qual = next((n for n in names if n in self.a.functions), None)
+        qual = self.a.program.resolve(canonical, self.module)
         callee_key = None
         if qual is not None:
             callee_key = self.a.functions[qual].short
-        else:
-            # A constructor of an analyzed class?
-            for name in names:
-                tail = name.split(".")[-1]
-                if tail[:1].isupper() and (
-                    f"{tail}.__init__" in self.a.member_index
-                    or tail in self.a.program.classes
-                ):
-                    callee_key = tail
-                    break
+        elif tail[:1].isupper() and (
+            f"{tail}.__init__" in self.a.member_index
+            or tail in self.a.program.classes
+        ):
+            callee_key = tail  # a constructor of an analyzed class
         if callee_key is not None:
             self._check_param_sinks(
                 node, callee_key, [], arg_facts, kw_facts,
@@ -1375,9 +1261,6 @@ class _Interp:
             f"SeedSequence.spawn()",
         )
 
-    def _flush_fanout(self) -> None:
-        self._fanout_rngs.clear()
-
     # -- arithmetic ------------------------------------------------------------
 
     def _binop(self, left: Fact, op: ast.operator, right: Fact) -> Fact:
@@ -1413,23 +1296,6 @@ class _Interp:
         )
 
 
-# -- entry points --------------------------------------------------------------
-
-
-def analyze_exactness(
-    paths: Union[Program, Sequence[Union[str, Path]]],
-) -> List[Finding]:
-    """Exactness/determinism-lint every file under ``paths`` (REP301..306).
-
-    ``paths`` may also be an already loaded :class:`Program`.
-    """
-    return ExactnessAnalyzer(as_program(paths)).run()
-
-
-def analyze_exactness_source(
-    source: str, path: str = "<string>", module_name: Optional[str] = None
-) -> List[Finding]:
-    """Exactness-lint one source string (test/tooling convenience)."""
-    return ExactnessAnalyzer(
-        Program.from_source(source, path, module_name)
-    ).run()
+#: REP301..REP306 over paths (or a loaded :class:`Program`), or one source.
+analyze_exactness = ExactnessAnalyzer.analyze
+analyze_exactness_source = ExactnessAnalyzer.analyze_source

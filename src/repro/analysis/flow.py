@@ -35,16 +35,14 @@ shallow rules. Run with ``repro-tsv lint --deep``.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.program import (
     FunctionInfo,
     ModuleInfo,
     Pass,
-    Program,
-    as_program,
+    StatementWalker,
 )
 from repro.analysis.registry import Signature
 from repro.analysis.shapes import (
@@ -104,17 +102,7 @@ class Analyzer(Pass):
         for qualname in list(self.program.functions):
             self.summary(qualname)
         for module in self.program.modules:
-            interpreter = _Interpreter(self, module, {})
-            interpreter.exec_block(
-                [
-                    stmt
-                    for stmt in module.tree.body
-                    if not isinstance(
-                        stmt,
-                        (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-                    )
-                ]
-            )
+            _Interpreter(self, module, {}).exec_block(module.tree.body)
         return self.result()
 
     def _declared_signature(self, info: FunctionInfo) -> Optional[Signature]:
@@ -255,106 +243,55 @@ def _fmt_rng(rng: Optional[Tuple[float, float]]) -> str:
     return f"[{rng[0]:g}, {rng[1]:g}]"
 
 
-class _Interpreter:
+class _Interpreter(StatementWalker):
     """Abstract interpreter for one function body or module top level."""
 
+    unknown = UNKNOWN
+
     def __init__(self, analyzer: Analyzer, module: ModuleInfo, env: Env) -> None:
+        super().__init__()
         self.analyzer = analyzer
         self.module = module
         self.env = env
-        self.returns: List[AbstractValue] = []
 
-    # -- statements -----------------------------------------------------------
+    # -- walker hooks ---------------------------------------------------------
 
-    def exec_block(self, stmts: Sequence[ast.stmt]) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt)
+    def snapshot(self) -> Env:
+        return dict(self.env)
 
-    def exec_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            value = self.eval(stmt.value)
-            for target in stmt.targets:
-                self._bind(target, value)
-        elif isinstance(stmt, ast.AnnAssign):
-            value = self.eval(stmt.value) if stmt.value is not None else UNKNOWN
-            self._bind(stmt.target, value)
-        elif isinstance(stmt, ast.AugAssign):
-            self.eval(stmt.value)
-            if isinstance(stmt.target, ast.Name):
-                self.env[stmt.target.id] = UNKNOWN
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value)
-        elif isinstance(stmt, ast.Return):
-            self.returns.append(
-                self.eval(stmt.value) if stmt.value is not None else UNKNOWN
-            )
-        elif isinstance(stmt, ast.If):
-            self.eval(stmt.test)
-            self._exec_branches([stmt.body, stmt.orelse])
-        elif isinstance(stmt, ast.For):
-            iterated = self.eval(stmt.iter)
-            element = UNKNOWN
-            if iterated.shape is not None and len(iterated.shape) >= 1:
-                element = iterated.but(
-                    shape=iterated.shape[1:], form=None, lit=False
-                )
-            self._bind(stmt.target, element)
-            self._exec_branches([stmt.body + stmt.orelse])
-        elif isinstance(stmt, ast.While):
-            self.eval(stmt.test)
-            self._exec_branches([stmt.body + stmt.orelse])
-        elif isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self.eval(item.context_expr)
-                if item.optional_vars is not None:
-                    self._bind(item.optional_vars, UNKNOWN)
-            self.exec_block(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            blocks = [stmt.body]
-            for handler in stmt.handlers:
-                if handler.name:
-                    self.env[handler.name] = UNKNOWN
-                blocks.append(handler.body)
-            self._exec_branches(blocks)
-            self.exec_block(stmt.orelse)
-            self.exec_block(stmt.finalbody)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            self.env[stmt.name] = UNKNOWN  # nested scopes analyzed separately
-        elif isinstance(stmt, (ast.Raise, ast.Assert)):
-            if isinstance(stmt, ast.Assert):
-                self.eval(stmt.test)
-            elif stmt.exc is not None:
-                self.eval(stmt.exc)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    self.env.pop(target.id, None)
-        # Import/Pass/Break/Continue/Global/Nonlocal: nothing to track.
+    def restore(self, state: Env) -> None:
+        self.env = dict(state)
 
-    def _exec_branches(self, blocks: Sequence[Sequence[ast.stmt]]) -> None:
-        """Execute alternative blocks on env copies and join the results."""
-        snapshots = []
-        base = dict(self.env)
-        for block in blocks:
-            self.env = dict(base)
-            self.exec_block(block)
-            snapshots.append(self.env)
+    def join(self, base: Env, ends: Sequence[Env]) -> None:
         merged = dict(base)
-        for snap in snapshots:
+        for snap in ends:
             for name in set(merged) | set(snap):
                 a = merged.get(name, UNKNOWN)
                 b = snap.get(name, UNKNOWN)
                 merged[name] = a if a == b else join_values(a, b)
         self.env = merged
 
-    def _bind(self, target: ast.expr, value: AbstractValue) -> None:
+    def element(self, value: AbstractValue, node: ast.expr) -> AbstractValue:
+        if value.shape is not None and len(value.shape) >= 1:
+            return value.but(shape=value.shape[1:], form=None, lit=False)
+        return UNKNOWN
+
+    def enter(
+        self, expr: ast.expr, stmt: ast.stmt, asynchronous: bool
+    ) -> AbstractValue:
+        self.eval(expr)
+        return UNKNOWN
+
+    def bind(
+        self, target: ast.expr, value: AbstractValue, stmt: ast.AST
+    ) -> None:
         if isinstance(target, ast.Name):
             self.env[target.id] = value
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._bind(element, UNKNOWN)
+                self.bind(element, UNKNOWN, stmt)
         elif isinstance(target, ast.Starred):
-            self._bind(target.value, UNKNOWN)
+            self.bind(target.value, UNKNOWN, stmt)
         # Subscript / attribute stores mutate objects we don't re-track.
 
     # -- expressions ----------------------------------------------------------
@@ -390,7 +327,7 @@ class _Interpreter:
             return AbstractValue(shape=None, unit=DIMENSIONLESS, rng=(0.0, 1.0))
         if isinstance(node, ast.NamedExpr):
             value = self.eval(node.value)
-            self._bind(node.target, value)
+            self.bind(node.target, value, node)
             return value
         return UNKNOWN
 
@@ -457,10 +394,8 @@ class _Interpreter:
             return self._matmul(node, a, b)
         if isinstance(op, (ast.Add, ast.Sub)):
             return self._add_sub(node, a, b, subtract=isinstance(op, ast.Sub))
-        if isinstance(op, ast.Mult):
-            return self._mul(node, a, b)
-        if isinstance(op, ast.Div):
-            return self._div(node, a, b)
+        if isinstance(op, (ast.Mult, ast.Div)):
+            return self._mul_div(node, a, b, divide=isinstance(op, ast.Div))
         if isinstance(op, ast.Pow):
             return self._pow(node, a, b)
         shape, conflict = _broadcast(a.shape, b.shape)
@@ -522,36 +457,22 @@ class _Interpreter:
             shape=shape, unit=unit, rng=rng, prob=prob, lit=a.lit and b.lit
         )
 
-    def _mul(
-        self, node: ast.AST, a: AbstractValue, b: AbstractValue
+    def _mul_div(
+        self, node: ast.AST, a: AbstractValue, b: AbstractValue, divide: bool
     ) -> AbstractValue:
         shape, conflict = _broadcast(a.shape, b.shape)
         if conflict:
             self._record(node, "REP101", self._broadcast_message(a, b))
         rng = None
-        if a.rng is not None and b.rng is not None:
-            products = [x * y for x in a.rng for y in b.rng]
-            rng = (min(products), max(products))
+        if a.rng is not None and b.rng is not None and (
+            not divide or b.rng[0] > 0.0
+        ):
+            values = [x / y if divide else x * y for x in a.rng for y in b.rng]
+            rng = (min(values), max(values))
         prob = self._prob_after_arith(a, b, rng)
+        unit = (div_units if divide else mul_units)(a.unit, b.unit)
         return AbstractValue(
-            shape=shape, unit=mul_units(a.unit, b.unit), rng=rng, prob=prob,
-            lit=a.lit and b.lit,
-        )
-
-    def _div(
-        self, node: ast.AST, a: AbstractValue, b: AbstractValue
-    ) -> AbstractValue:
-        shape, conflict = _broadcast(a.shape, b.shape)
-        if conflict:
-            self._record(node, "REP101", self._broadcast_message(a, b))
-        rng = None
-        if a.rng is not None and b.rng is not None and b.rng[0] > 0.0:
-            quotients = [x / y for x in a.rng for y in b.rng]
-            rng = (min(quotients), max(quotients))
-        prob = self._prob_after_arith(a, b, rng)
-        return AbstractValue(
-            shape=shape, unit=div_units(a.unit, b.unit), rng=rng, prob=prob,
-            lit=a.lit and b.lit,
+            shape=shape, unit=unit, rng=rng, prob=prob, lit=a.lit and b.lit
         )
 
     def _pow(
@@ -953,21 +874,6 @@ class _Interpreter:
         self.analyzer.record(self.module, node, code, message)
 
 
-# -- public entry points -------------------------------------------------------
-
-
-def analyze_paths(
-    paths: Union[Program, Sequence[Union[str, Path]]],
-) -> List[Finding]:
-    """Deep-lint every Python file under ``paths`` (REP101..REP104).
-
-    ``paths`` may also be an already loaded :class:`Program`.
-    """
-    return Analyzer(as_program(paths)).run()
-
-
-def analyze_source(
-    source: str, path: str = "<string>", module_name: Optional[str] = None
-) -> List[Finding]:
-    """Deep-lint one source string (test/tooling convenience)."""
-    return Analyzer(Program.from_source(source, path, module_name)).run()
+#: REP101..REP104 over paths (or a loaded :class:`Program`), or one source.
+analyze_paths = Analyzer.analyze
+analyze_source = Analyzer.analyze_source

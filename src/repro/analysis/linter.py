@@ -42,6 +42,7 @@ from repro.analysis.program import (
     Program,
     as_program,
     iter_python_files,
+    self_attr,
 )
 
 __all__ = [
@@ -483,11 +484,7 @@ class DaemonThreadRule(Rule):
         for target in targets:
             if isinstance(target, ast.Name):
                 return target.id
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
+            if self_attr(target) is not None:
                 return f"self.{target.attr}"
         return ""
 
@@ -495,11 +492,7 @@ class DaemonThreadRule(Rule):
     def _handle_name(node: ast.expr) -> str:
         if isinstance(node, ast.Name):
             return node.id
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
+        if self_attr(node) is not None:
             return f"self.{node.attr}"
         return ""
 

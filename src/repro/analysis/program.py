@@ -9,7 +9,8 @@ the deep passes never see it. Each parsed file is one
 scoped node lists the passes read instead of walking again. On top of
 the modules the program holds one function/class-member index and,
 built on first use, the static-signature registry. The passes share all
-of it and keep only their own lattices and transfer functions.
+of it and one :class:`StatementWalker`, the only dispatch on statement
+kind, and keep only their own lattices and transfer functions.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ __all__ = [
     "ModuleInfo",
     "Pass",
     "Program",
+    "StatementWalker",
     "as_program",
     "collector_paused",
     "iter_python_files",
+    "self_attr",
 ]
 
 _NOQA_RE = re.compile(
@@ -76,6 +79,17 @@ class ImportMap:
             base = self.canonical(node.value)
             return f"{base}.{node.attr}" if base else ""
         return ""
+
+
+def self_attr(node: ast.AST) -> Optional[str]:
+    """``attr`` if ``node`` is ``self.attr``, else ``None``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
 
 
 def _noqa_lines(source: str) -> Dict[int, Set[str]]:
@@ -422,10 +436,220 @@ class Pass:
     def summarize(self, info: FunctionInfo) -> Any:
         raise NotImplementedError
 
+    def run(self) -> List[Finding]:
+        raise NotImplementedError
+
+    @classmethod
+    def analyze(
+        cls, target: Union[Program, Sequence[Union[str, Path]]]
+    ) -> List[Finding]:
+        """The pass's findings over every file under ``target``, or over
+        ``target`` itself if it is a loaded :class:`Program`."""
+        return cls(as_program(target)).run()
+
+    @classmethod
+    def analyze_source(
+        cls, source: str, path: str = "<string>",
+        module_name: Optional[str] = None,
+    ) -> List[Finding]:
+        """The pass's findings over one source string (tests, tooling)."""
+        return cls(Program.from_source(source, path, module_name)).run()
+
     def in_progress(self, qualname: str) -> bool:
         """Whether ``qualname``'s summary is being computed: a call to it
         now is a recursion cycle and reads :attr:`unknown`."""
         return qualname in self._active
+
+
+class StatementWalker:
+    """Control flow of one scope: the only dispatch on statement kind.
+
+    A deep pass's interpreter subclasses the walker, keeps its own
+    lattice and supplies it through hooks:
+
+    * :meth:`eval` evaluates (or scans) an expression into a value;
+    * :meth:`bind` binds a target of an assignment, ``for``, ``with`` or
+      ``del`` (to :attr:`unknown`), and the name of a ``def``, ``class``
+      or ``except ... as`` (also to :attr:`unknown`);
+    * :meth:`on_return` reacts to a ``return`` (default: keep the value
+      in :attr:`returns`);
+    * :meth:`snapshot`, :meth:`restore` and :meth:`join` copy the state,
+      reinstate a copy, and merge the states at the ends of alternative
+      blocks entered from one base state.
+
+    :meth:`element`, :meth:`augment`, :meth:`enter` and :meth:`effect`
+    refine loop targets, augmented assignments, ``with`` items and
+    expression statements. The walker counts the loops around the
+    current statement in :attr:`loop_depth`.
+
+    Control flow is the same for every pass. The branches of an ``if``,
+    a loop (which may not run) and a ``try`` body with each of its
+    handlers are alternatives, joined; a ``with`` body, a ``try``'s
+    ``else`` and ``finally`` run in sequence. Two class attributes
+    below set where passes differ.
+    """
+
+    #: What the walker cannot see: an absent ``return`` value, a deleted
+    #: or nested-scope name.
+    unknown: Any = None
+    #: Whether an ``if`` test is evaluated.
+    eval_if_test = True
+    #: Whether the state a ``with`` block changed is restored on exit.
+    scope_with = False
+
+    def __init__(self) -> None:
+        self.returns: List[Any] = []
+        self.loop_depth = 0
+
+    def eval(self, node: ast.expr) -> Any:
+        raise NotImplementedError
+
+    def bind(self, target: ast.expr, value: Any, stmt: ast.AST) -> None:
+        raise NotImplementedError
+
+    def snapshot(self) -> Any:
+        raise NotImplementedError
+
+    def restore(self, state: Any) -> None:
+        raise NotImplementedError
+
+    def join(self, base: Any, ends: Sequence[Any]) -> None:
+        raise NotImplementedError
+
+    def on_return(self, stmt: ast.Return, value: Any) -> None:
+        self.returns.append(value)
+
+    def element(self, value: Any, node: ast.expr) -> Any:
+        """One element drawn by iterating ``value``."""
+        return self.unknown
+
+    def augment(self, target: ast.expr, op: ast.operator, value: Any) -> Any:
+        """What ``target op= value`` stores."""
+        return self.unknown
+
+    def enter(self, expr: ast.expr, stmt: ast.stmt, asynchronous: bool) -> Any:
+        """Enter a ``with`` item; the value binds its ``as`` target."""
+        return self.eval(expr)
+
+    def effect(self, expr: ast.expr) -> None:
+        """Run an expression statement."""
+        self.eval(expr)
+
+    # -- the walk ----------------------------------------------------------
+
+    def exec_block(self, stmts: Sequence[ast.stmt]) -> None:
+        for stmt in stmts:
+            handler = _STATEMENTS.get(type(stmt))
+            if handler is not None:
+                handler(self, stmt)
+
+    def branches(self, blocks: Sequence[Sequence[ast.stmt]]) -> None:
+        """Run alternative blocks from one state, then join their ends."""
+        base = self.snapshot()
+        ends = []
+        for block in blocks:
+            self.restore(base)
+            self.exec_block(block)
+            ends.append(self.snapshot())
+        self.join(base, ends)
+
+    def _assign(self, stmt: ast.Assign) -> None:
+        value = self.eval(stmt.value)
+        for target in stmt.targets:
+            self.bind(target, value, stmt)
+
+    def _ann_assign(self, stmt: ast.AnnAssign) -> None:
+        if stmt.value is not None:
+            self.bind(stmt.target, self.eval(stmt.value), stmt)
+
+    def _aug_assign(self, stmt: ast.AugAssign) -> None:
+        value = self.augment(stmt.target, stmt.op, self.eval(stmt.value))
+        self.bind(stmt.target, value, stmt)
+
+    def _expr(self, stmt: ast.Expr) -> None:
+        self.effect(stmt.value)
+
+    def _return(self, stmt: ast.Return) -> None:
+        value = self.unknown if stmt.value is None else self.eval(stmt.value)
+        self.on_return(stmt, value)
+
+    def _operands(self, stmt: Union[ast.Raise, ast.Assert]) -> None:
+        for child in ast.iter_child_nodes(stmt):
+            self.eval(child)
+
+    def _delete(self, stmt: ast.Delete) -> None:
+        for target in stmt.targets:
+            self.bind(target, self.unknown, stmt)
+
+    def _define(self, node: ast.AST, name: Optional[str] = None) -> None:
+        # A nested scope's body is analyzed on its own.
+        target = ast.Name(id=name or node.name, ctx=ast.Store())
+        self.bind(ast.copy_location(target, node), self.unknown, node)
+
+    def _if(self, stmt: ast.If) -> None:
+        if self.eval_if_test:
+            self.eval(stmt.test)
+        self.branches([stmt.body, stmt.orelse])
+
+    def _for(self, stmt: Union[ast.For, ast.AsyncFor]) -> None:
+        value = self.element(self.eval(stmt.iter), stmt.iter)
+        self.bind(stmt.target, value, stmt)
+        self._loop(stmt)
+
+    def _while(self, stmt: ast.While) -> None:
+        self.eval(stmt.test)
+        self._loop(stmt)
+
+    def _loop(self, stmt: Union[ast.For, ast.AsyncFor, ast.While]) -> None:
+        base = self.snapshot()  # the loop may not run
+        self.loop_depth += 1
+        self.exec_block(stmt.body)
+        self.loop_depth -= 1
+        self.exec_block(stmt.orelse)
+        self.join(base, [self.snapshot()])
+
+    def _with(self, stmt: Union[ast.With, ast.AsyncWith]) -> None:
+        base = self.snapshot() if self.scope_with else None
+        asynchronous = isinstance(stmt, ast.AsyncWith)
+        for item in stmt.items:
+            value = self.enter(item.context_expr, stmt, asynchronous)
+            if item.optional_vars is not None:
+                self.bind(item.optional_vars, value, stmt)
+        self.exec_block(stmt.body)
+        if base is not None:
+            self.restore(base)
+
+    def _try(self, stmt: ast.Try) -> None:
+        for handler in stmt.handlers:
+            if handler.name:
+                self._define(handler, handler.name)
+        self.branches([stmt.body] + [handler.body for handler in stmt.handlers])
+        self.exec_block(stmt.orelse)
+        self.exec_block(stmt.finalbody)
+
+
+#: Statement kind -> handler. Kinds left out (imports, ``pass``,
+#: ``break``, ``global``, ...) bind and evaluate nothing.
+_STATEMENTS = {
+    ast.Assign: StatementWalker._assign,
+    ast.AnnAssign: StatementWalker._ann_assign,
+    ast.AugAssign: StatementWalker._aug_assign,
+    ast.Expr: StatementWalker._expr,
+    ast.Return: StatementWalker._return,
+    ast.Raise: StatementWalker._operands,
+    ast.Assert: StatementWalker._operands,
+    ast.Delete: StatementWalker._delete,
+    ast.FunctionDef: StatementWalker._define,
+    ast.AsyncFunctionDef: StatementWalker._define,
+    ast.ClassDef: StatementWalker._define,
+    ast.If: StatementWalker._if,
+    ast.For: StatementWalker._for,
+    ast.AsyncFor: StatementWalker._for,
+    ast.While: StatementWalker._while,
+    ast.With: StatementWalker._with,
+    ast.AsyncWith: StatementWalker._with,
+    ast.Try: StatementWalker._try,
+}
 
 
 @contextmanager

@@ -100,6 +100,23 @@ def test_run_lint_deep_flags_fixture_and_exits_nonzero():
     assert run_lint([str(bad)], deep=False, stream=clean) == 0
 
 
+@pytest.mark.parametrize("header", ["async with lock:", "async for _ in it:"])
+def test_async_bodies_are_interpreted(header):
+    source = (
+        "from repro.stats.switching import BitStatistics, "
+        "validate_bit_stream\n"
+        "\n"
+        "\n"
+        "async def coupling_against_stream(stream, lock, it):\n"
+        f"    {header}\n"
+        "        stats = BitStatistics.from_stream(stream)\n"
+        "        bits = validate_bit_stream(stream)\n"
+        "        return stats.t_matrix @ bits\n"
+    )
+    findings = analyze_source(source, "async_case.py")
+    assert [(f.rule, f.line) for f in findings] == [("REP101", 8)]
+
+
 # -- noqa suppression ----------------------------------------------------------
 
 

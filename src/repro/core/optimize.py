@@ -84,9 +84,15 @@ from repro.runtime.artifacts import (
     restore_rng_state,
 )
 from repro.runtime.faults import fault_point
-from repro.runtime.supervision import ChainSupervisor, Deadline, RunControl
+from repro.runtime.supervision import (
+    Deadline,
+    RunControl,
+    spawn_seed_sequences,
+)
 
 logger = logging.getLogger("repro.core.optimize")
+#: Chain retries and degraded runs log where the runtime layer's do.
+runtime_logger = logging.getLogger("repro.runtime")
 
 CostFunction = Callable[[SignedPermutation], float]
 
@@ -936,7 +942,10 @@ class _Search:
             else problem.steps_per_temperature
         )
         self.store: Optional[CheckpointStore] = None
-        self.supervisor: Optional[ChainSupervisor] = None
+        #: One spawned seed sequence per chain of a multi-chain search:
+        #: every attempt of chain ``i`` builds its generator afresh from
+        #: the ``i``-th, so a retried chain equals one that never failed.
+        self.seed_sequences: Optional[List[np.random.SeedSequence]] = None
         self.control = RunControl(
             deadline=(
                 Deadline(problem.deadline_s)
@@ -966,62 +975,74 @@ class _Search:
                 },
             )
         if problem.n_restarts > 1:
-            self.supervisor = ChainSupervisor(
-                self.rng, problem.n_restarts,
-                max_retries=problem.max_chain_retries,
-                control=self.control, name="annealing chain",
+            self.seed_sequences = spawn_seed_sequences(
+                self.rng, problem.n_restarts
             )
+
+    def _generator(self, index: int) -> np.random.Generator:
+        """A fresh generator for any attempt of chain ``index``."""
+        bit_generator = type(self.rng.bit_generator)
+        return np.random.Generator(bit_generator(self.seed_sequences[index]))
 
     def new_chains(self) -> List[_Chain]:
         """The problem's chains, ready for their first lockstep pass."""
         if self.trivial:
             return []
-        if self.supervisor is None:
+        if self.seed_sequences is None:
             # The single chain consumes the caller's generator directly (so
             # generator state keeps flowing); retries are a multi-chain
             # feature — an injected crash propagates.
             return [_Chain(self, 0, self.rng)]
         return [
-            _Chain(self, index, self.supervisor.generator_for(index))
+            _Chain(self, index, self._generator(index))
             for index in range(self.problem.n_restarts)
         ]
+
+    def _retried(self, chain: _Chain) -> Tuple[Optional[SearchResult], str]:
+        """``chain``'s result after the lockstep pass, rerunning it alone on
+        a fresh generator after each failure while the retry budget and
+        the run control allow; ``(None, last error)`` if it never got one.
+        """
+        retries = self.problem.max_chain_retries
+        attempt = 1
+        while chain.error is not None:
+            error = f"{type(chain.error).__name__}: {chain.error}"
+            retry = attempt <= retries and not self.control.should_stop()
+            runtime_logger.warning(
+                "annealing chain %d failed (attempt %d/%d): %s%s",
+                chain.index, attempt, retries + 1, error,
+                " — retrying" if retry else " — giving up",
+            )
+            if not retry:
+                return None, error
+            chain = _Chain(self, chain.index, self._generator(chain.index))
+            _run_chains([chain], attempt)
+            attempt += 1
+        return chain.result, ""
 
     def result(self, chains: List[_Chain]) -> SearchResult:
         """The problem's result once its ``chains`` have run: the best
         chain, polished; retries of crashed chains run here, each alone."""
         if self.trivial:
             return SearchResult(self.start, self.reference(self.start), 1)
-        if self.supervisor is None:
+        if self.seed_sequences is None:
             chain = chains[0]
             if chain.error is not None:
                 raise chain.error
             chain_results, n_failed = [chain.result], 0
         else:
-            # The lockstep pass ran every chain on the supervisor's spawned
-            # generator. Its results and errors are replayed through the
-            # supervisor as each chain's attempt 0, so retries,
-            # degradation and their log lines stay in one place; a retry
-            # reruns its chain as a population of one.
-            def run_chain(
-                index: int,
-                chain_rng: np.random.Generator,
-                chain_control: RunControl,
-                attempt: int,
-            ) -> SearchResult:
-                chain = chains[index]
-                if attempt > 0:
-                    chain = _Chain(self, index, chain_rng)
-                    _run_chains([chain], attempt)
-                if chain.error is not None:
-                    raise chain.error
-                return chain.result
-
-            report = self.supervisor.run(run_chain)
-            chain_results, n_failed = report.results(), report.n_failed
+            outcomes = [self._retried(chain) for chain in chains]
+            chain_results = [r for r, _ in outcomes if r is not None]
+            n_failed = len(chains) - len(chain_results)
+            if n_failed:
+                runtime_logger.warning(
+                    "degraded run: %d of %d annealing chains produced no "
+                    "result", n_failed, len(chains),
+                )
             if not chain_results:
                 raise RuntimeError(
                     f"all {self.problem.n_restarts} annealing chains failed "
-                    f"(last error: {report.outcomes[-1].error})"
+                    f"(last error: {outcomes[-1][1]})"
                 )
 
         best = min(chain_results, key=lambda result: result.power)

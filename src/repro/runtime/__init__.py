@@ -1,11 +1,12 @@
-"""Fault-tolerant execution layer: checkpoints, supervision, fault injection.
+"""Fault-tolerant execution layer: checkpoints, deadlines, fault injection.
 
 Every long-running computation in the library goes through this package:
 
 * :mod:`repro.runtime.artifacts` — versioned, checksummed, atomically
   written checkpoints (and RNG-state round-trips) so runs are resumable;
-* :mod:`repro.runtime.supervision` — deadlines, bounded chain retries and
-  clean SIGINT semantics around parallel work;
+* :mod:`repro.runtime.supervision` — deadlines, the shared stop flag of
+  clean SIGINT semantics, and the per-chain seeds that make a retried
+  annealing chain equal one that never crashed;
 * :mod:`repro.runtime.faults` — the fault-injection harness that the
   ``tests/runtime`` chaos suite (and CI's chaos job) uses to prove the
   recovery invariants hold;
@@ -41,11 +42,8 @@ from repro.runtime.faults import (
     inject_faults,
 )
 from repro.runtime.supervision import (
-    ChainOutcome,
-    ChainSupervisor,
     Deadline,
     RunControl,
-    SupervisionReport,
     spawn_seed_sequences,
 )
 
@@ -69,11 +67,8 @@ __all__ = [
     "active_plan",
     "fault_point",
     "inject_faults",
-    "ChainOutcome",
-    "ChainSupervisor",
     "Deadline",
     "RunControl",
-    "SupervisionReport",
     "spawn_seed_sequences",
     "usable_cores",
 ]

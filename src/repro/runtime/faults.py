@@ -1,6 +1,6 @@
 """Fault injection: prove the fault-tolerant layer actually tolerates faults.
 
-The runtime layer (checkpoints, chain supervision, the self-healing
+The runtime layer (checkpoints, chain retries, the self-healing
 extraction cache) is only trustworthy if its failure paths are exercised
 routinely, so the library carries its own chaos harness. Production code
 calls :func:`fault_point` at the places where real faults strike; the
@@ -24,7 +24,7 @@ A spec is a ``;``-separated list of fault entries, each
 
     chain_crash(0,2)        chains 0 and 2 raise InjectedFault at start,
                             on every attempt (retries exhausted -> the
-                            supervisor degrades gracefully)
+                            search degrades gracefully)
     chain_crash(1,once)     chain 1 crashes on its first attempt only
                             (the retry must reproduce the clean result)
     cache_corrupt(2)        truncate the next 2 extraction-cache files

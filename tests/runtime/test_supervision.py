@@ -1,19 +1,42 @@
-"""Chain supervision: retry determinism, bounded retries, deadlines."""
+"""Chain retries, deadlines and interrupts: the runtime layer and the
+multi-chain annealer that retries on its per-chain seeds."""
 
 import numpy as np
 import pytest
 
+from repro.core import optimize
+from repro.core.optimize import SearchProblem, anneal
+from repro.runtime.faults import InjectedFault, inject_faults
 from repro.runtime.supervision import (
-    ChainSupervisor,
     Deadline,
     RunControl,
     spawn_seed_sequences,
 )
 
 
-def draw_chain(index, rng, control, attempt):
-    """A deterministic 'chain': its result is a pure function of its rng."""
-    return float(rng.random(100).sum()) + index
+def search(model, seed=0, **kwargs):
+    """One multi-chain search of ``model`` through :func:`anneal`."""
+    kwargs.setdefault("n_restarts", 4)
+    problem = SearchProblem(
+        model, model.n_lines, rng=np.random.default_rng(seed), **kwargs
+    )
+    return anneal([problem])[0]
+
+
+def crash_chains(monkeypatch, crashes, error=InjectedFault):
+    """Make chain ``i`` raise ``error`` as its attempt ``a`` starts for each
+    ``(i, a)`` in ``crashes``; returns the ``(chain, attempt)`` starts."""
+    starts = []
+
+    def fault_point(name, chain=None, attempt=None, **context):
+        if name != "chain_crash":
+            return
+        starts.append((chain, attempt))
+        if (chain, attempt) in crashes:
+            raise error("injected crash")
+
+    monkeypatch.setattr(optimize, "fault_point", fault_point)
+    return starts
 
 
 class TestSpawnSeedSequences:
@@ -35,15 +58,13 @@ class TestSpawnSeedSequences:
 
 
 class TestValidation:
-    def test_n_chains(self):
+    def test_n_chains(self, model):
         with pytest.raises(ValueError, match="got 0"):
-            ChainSupervisor(np.random.default_rng(0), n_chains=0)
+            search(model, n_restarts=0)
 
-    def test_max_retries(self):
+    def test_max_retries(self, model):
         with pytest.raises(ValueError, match="got -2"):
-            ChainSupervisor(
-                np.random.default_rng(0), n_chains=1, max_retries=-2
-            )
+            search(model, n_restarts=1, max_chain_retries=-2)
 
     def test_negative_deadline(self):
         with pytest.raises(ValueError, match="got -0.5"):
@@ -51,60 +72,46 @@ class TestValidation:
 
 
 class TestRetryDeterminism:
-    def clean_results(self, seed):
-        supervisor = ChainSupervisor(np.random.default_rng(seed), n_chains=4)
-        return supervisor.run(draw_chain).results()
-
     @pytest.mark.parametrize("seed", [1, 4])
-    def test_retried_chain_reproduces_clean_result(self, seed):
-        failures = {"left": 2}
-
-        def flaky(index, rng, control, attempt):
-            if index == 2 and failures["left"] > 0:
-                failures["left"] -= 1
-                raise RuntimeError("injected flake")
-            return draw_chain(index, rng, control, attempt)
-
-        supervisor = ChainSupervisor(
-            np.random.default_rng(seed), n_chains=4, max_retries=2,
-        )
-        report = supervisor.run(flaky)
-        assert report.n_failed == 0
-        assert report.n_retried == 2
-        assert report.results() == self.clean_results(seed)
+    def test_retried_chain_reproduces_clean_result(
+        self, model, monkeypatch, caplog, seed
+    ):
+        clean = search(model, seed)
+        starts = crash_chains(monkeypatch, {(2, 0), (2, 1)})
+        with caplog.at_level("WARNING", logger="repro.runtime"):
+            retried = search(model, seed, max_chain_retries=2)
+        assert starts.count((2, 2)) == 1  # the third attempt ran
+        assert caplog.text.count("annealing chain 2 failed") == 2
+        assert retried.n_failed_chains == 0
+        assert retried.power == clean.power
+        assert retried.assignment == clean.assignment
+        assert retried.evaluations == clean.evaluations
 
 
 class TestDegradation:
     @pytest.mark.parametrize("max_retries", [1, 3])
-    def test_exhausted_chain_dropped_with_warning(self, caplog, max_retries):
-        def doomed(index, rng, control, attempt):
-            if index == 1:
-                raise RuntimeError("always fails")
-            return draw_chain(index, rng, control, attempt)
-
-        supervisor = ChainSupervisor(
-            np.random.default_rng(3), n_chains=3, max_retries=max_retries,
-        )
-        with caplog.at_level("WARNING", logger="repro.runtime"):
-            report = supervisor.run(doomed)
-        assert report.n_failed == 1
-        assert len(report.results()) == 2
+    def test_exhausted_chain_dropped_with_warning(
+        self, model, caplog, max_retries
+    ):
+        with inject_faults("chain_crash(1)"):
+            with caplog.at_level("WARNING", logger="repro.runtime"):
+                result = search(
+                    model, 3, n_restarts=3, max_chain_retries=max_retries
+                )
+        assert result.n_failed_chains == 1
+        assert np.isfinite(result.power)
         # The initial attempt plus the bounded retries.
-        assert report.outcomes[1].attempts == max_retries + 1
-        assert "degraded run" in caplog.text
+        assert caplog.text.count("annealing chain 1 failed") == (
+            max_retries + 1
+        )
+        assert "giving up" in caplog.text
+        assert "degraded run: 1 of 3 annealing chains" in caplog.text
 
-    def test_zero_retries(self):
-        calls = []
-
-        def failing(index, rng, control, attempt):
-            calls.append((index, attempt))
-            raise RuntimeError("boom")
-
-        report = ChainSupervisor(
-            np.random.default_rng(0), n_chains=2, max_retries=0
-        ).run(failing)
-        assert report.n_failed == 2
-        assert calls == [(0, 0), (1, 0)]
+    def test_zero_retries(self, model, monkeypatch):
+        starts = crash_chains(monkeypatch, {(0, 0), (1, 0)})
+        with pytest.raises(RuntimeError, match="all 2 annealing chains"):
+            search(model, n_restarts=2, max_chain_retries=0)
+        assert starts == [(0, 0), (1, 0)]
 
 
 class TestControl:
@@ -119,18 +126,13 @@ class TestControl:
         assert control.should_stop()
         assert control.interrupted
 
-    def test_chain_keyboard_interrupt_stops_run(self):
-        ran = []
-
-        def chain(index, rng, control, attempt):
-            if control.should_stop():
-                return f"best-so-far-{index}"
-            ran.append(index)
-            if index == 0:
-                raise KeyboardInterrupt
-            return draw_chain(index, rng, control, attempt)
-
-        supervisor = ChainSupervisor(np.random.default_rng(0), n_chains=3)
-        report = supervisor.run(chain)
-        assert report.interrupted
-        assert ran == [0]
+    def test_chain_keyboard_interrupt_stops_run(self, model, monkeypatch):
+        starts = crash_chains(
+            monkeypatch, {(0, 0)}, error=lambda _: KeyboardInterrupt()
+        )
+        result = search(model, n_restarts=3)
+        # Every chain stops with its best-so-far; none fails or retries.
+        assert not result.completed
+        assert result.n_failed_chains == 0
+        assert np.isfinite(result.power)
+        assert starts == [(0, 0), (1, 0), (2, 0)]

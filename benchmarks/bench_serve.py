@@ -45,7 +45,13 @@ import numpy as np
 from repro.core.fastpower import CompiledPowerModel
 from repro.datagen.util import words_to_bits
 from repro.experiments.common import cap_model_for
-from repro.serve import BackgroundServer, BatchPolicy, LinkClient, build_chain
+from repro.serve import (
+    BackgroundServer,
+    BatchPolicy,
+    LinkClient,
+    LinkServer,
+    build_chain,
+)
 from repro.stats.switching import BitStatistics
 from repro.tsv.geometry import TSVArrayGeometry
 
@@ -80,7 +86,9 @@ def run_once(window_s, words, chunk_words, in_flight, n_workers=0):
             )
         )
     else:
-        harness = BackgroundServer(policy=policy)
+        harness = BackgroundServer(
+            server_factory=lambda: LinkServer(policy=policy)
+        )
     with harness as server:
         with LinkClient.connect(server.address) as client:
             client.create_link("bench", link_config())

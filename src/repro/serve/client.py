@@ -73,10 +73,6 @@ def exception_from_header(header: Dict[str, Any]) -> Exception:
     return ServeError(error, message)
 
 
-def _raise_server_error(header: Dict[str, Any]) -> None:
-    raise exception_from_header(header)
-
-
 #: Socket-level failures that a retrying client treats as "connection
 #: lost, reconnect and replay" (``TimeoutError`` covers socket timeouts).
 _CONNECTION_ERRORS = (EOFError, ConnectionError, TimeoutError, OSError)
@@ -240,7 +236,7 @@ class LinkClient:
         )
         header, _ = read_frame_blocking(self._file)
         if not header.get("ok"):
-            _raise_server_error(header)
+            raise exception_from_header(header)
 
     def _backoff(self, attempt: int) -> None:
         delay = min(
@@ -339,7 +335,7 @@ class LinkClient:
             self._parked[response_id] = (header, payload)
         header, payload = self._parked.pop(request_id)
         if not header.get("ok"):
-            _raise_server_error(header)
+            raise exception_from_header(header)
         return header, payload
 
     def _reissue_safe(

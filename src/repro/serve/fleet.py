@@ -8,6 +8,17 @@ existing CLI ``stream --verify`` flow — cannot tell a fleet from a
 single server; what they gain is that a worker death no longer loses
 codec history or energy accounting.
 
+Request path
+------------
+The front, the workers and the single server share one request path,
+:meth:`FrameServer._dispatch <repro.serve.server.FrameServer._dispatch>`:
+session replay, the order fence and the overload NACK are written once
+there. The front only supplies the data-plane hook — journal the
+request, then forward it or park it — so a request shed at the park
+limit is answered by the same rule as an engine shed: ``retriable``
+exactly when the client's connection holds a session, whose order fence
+is recorded before the NACK is sent.
+
 Routing
 -------
 Link ids map onto worker slots with **rendezvous (HRW) hashing** over
@@ -51,7 +62,8 @@ first incarnation), and for each link:
    sequence order, flagged ``replay`` (the worker ignores deadlines
    during replay: an already-accepted request must be re-applied or the
    stream forks);
-3. un-park the link and flush requests that arrived during the outage.
+3. un-park the link and flush requests that arrived during the outage
+   (beyond ``park_limit`` parked requests per link the front sheds).
 
 Requests the worker applied but never answered are answered from the
 replay results; requests it never saw are simply applied. Chunk
@@ -100,19 +112,8 @@ from repro.serve.engine import (
     UnknownLinkError,
 )
 from repro.serve.metrics import merge_latency_states
-from repro.serve.protocol import (
-    error_header,
-    pack_frame,
-    read_frame,
-)
-from repro.serve.server import (
-    LinkServer,
-    _Connection,
-    _fence_admits,
-    _fence_nack,
-    _fence_record,
-    jsonable,
-)
+from repro.serve.protocol import pack_frame, read_frame
+from repro.serve.server import OPS, FrameServer
 from repro.serve.session import LinkConfig
 
 #: A worker's answer to a forwarded data request: response header + raw
@@ -355,8 +356,16 @@ class _FleetLink:
             if not entry.future.done() and entry.seq not in parked
         ]
 
+    def fail_all(self, exc: Exception) -> None:
+        """Fail every journaled and parked request with ``exc``."""
+        for entry in list(self.journal.values()) + self.parked:
+            if not entry.future.done():
+                entry.future.set_exception(exc)
+        self.journal.clear()
+        self.parked = []
 
-class FleetServer(LinkServer):
+
+class FleetServer(FrameServer):
     """Front of a worker fleet; serves the LinkServer client protocol.
 
     Parameters
@@ -399,10 +408,7 @@ class FleetServer(LinkServer):
         worker_boot_timeout_s: float = 20.0,
         park_limit: int = 256,
     ) -> None:
-        # The inherited engine never sees data traffic (the front
-        # forwards it); it exists so the LinkServer harness — start,
-        # close, connection handling — works unchanged.
-        super().__init__(policy=BatchPolicy(), max_workers=1)
+        super().__init__()
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if snapshot_every < 1:
@@ -556,14 +562,9 @@ class FleetServer(LinkServer):
     def _fail_link(self, link: _FleetLink) -> None:
         """Exactness cannot be guaranteed: fail the link loudly."""
         self.links.pop(link.link_id, None)
-        exc = EngineClosedError(
+        link.fail_all(EngineClosedError(
             f"link {link.link_id!r} could not be restored exactly"
-        )
-        for entry in list(link.journal.values()) + link.parked:
-            if not entry.future.done():
-                entry.future.set_exception(exc)
-        link.journal.clear()
-        link.parked = []
+        ))
 
     # -- link install / restore / replay -------------------------------------
 
@@ -636,12 +637,7 @@ class FleetServer(LinkServer):
                 if entry.seq <= restored_seq or entry.seq in parked:
                     continue
                 self._send_entry(handle, link, entry, replay=True)
-            # No await between ready.set() and the flush: the loop
-            # cannot interleave a new submission ahead of parked ones.
-            link.ready.set()
-            flushed, link.parked = link.parked, []
-            for entry in flushed:
-                self._send_entry(handle, link, entry)
+            self._reopen(link)
 
     # -- data plane ----------------------------------------------------------
 
@@ -695,62 +691,62 @@ class FleetServer(LinkServer):
 
         worker_future.add_done_callback(on_response)
 
-    def _submit_data(
-        self,
-        link_id: str,
-        op: str,
-        payload: bytes,
-        header: Dict[str, Any],
-        on_shed: Optional[Callable[[], None]] = None,
-    ) -> "asyncio.Future[_WireReply]":
-        """Journal one data request and forward (or park) it."""
+    def _link(self, link_id: str) -> _FleetLink:
         link = self.links.get(link_id)
         if link is None:
             raise UnknownLinkError(f"unknown link {link_id!r}")
-        future: "asyncio.Future[_WireReply]" = (
-            asyncio.get_running_loop().create_future()
-        )
+        return link
+
+    def _submit(
+        self, link: str, op: str, payload: bytes, header: Dict[str, Any]
+    ) -> "asyncio.Future[_WireReply]":
         deadline_s = header.get("deadline_s")
-        entry = _JournalEntry(
-            self._next_seq(link), op, payload, future,
+        return self._journal(
+            self._link(link), op, payload,
             None if deadline_s is None else float(deadline_s),
         )
+
+    def _journal(
+        self,
+        link: _FleetLink,
+        op: str,
+        payload: bytes = b"",
+        deadline_s: Optional[float] = None,
+    ) -> "asyncio.Future[_WireReply]":
+        """Journal one state-mutating request and forward (or park) it.
+
+        While the link cannot take traffic (worker down, quiesce) the
+        request parks; beyond ``park_limit`` parked requests it is shed
+        unapplied with :class:`OverloadedError`, raised synchronously so
+        the caller's overload NACK fences the stream before any later
+        request of it is dispatched.
+        """
+        handle = self.workers[link.worker_index]
+        forward = link.ready.is_set() and handle.state == "up"
+        if not forward and len(link.parked) >= self.park_limit:
+            raise OverloadedError(
+                f"link {link.link_id!r} is failing over "
+                f"({self.park_limit} requests already parked); retry"
+            )
+        entry = _JournalEntry(
+            link.next_seq, op, payload,
+            asyncio.get_running_loop().create_future(), deadline_s,
+        )
+        link.next_seq += 1
         link.journal[entry.seq] = entry
         link.since_snapshot += 1
-        handle = self.workers[link.worker_index]
-        if link.ready.is_set() and handle.state == "up":
+        if forward:
             self._send_entry(handle, link, entry)
             self._maybe_snapshot(link)
         else:
-            self._park(link, entry, on_shed)
-        return future
+            link.parked.append(entry)
+        return entry.future
 
-    def _next_seq(self, link: _FleetLink) -> int:
-        seq = link.next_seq
-        link.next_seq += 1
-        return seq
-
-    def _park(
-        self,
-        link: _FleetLink,
-        entry: _JournalEntry,
-        on_shed: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Hold a request while the link's worker is down/snapshotting."""
-        if len(link.parked) >= self.park_limit:
-            link.journal.pop(entry.seq, None)
-            if on_shed is not None:
-                # Record the shed *before* the NACK becomes visible:
-                # later requests of the same pipelined stream must hit
-                # the connection's order fence, or the client's re-issue
-                # would be applied out of stream order.
-                on_shed()
-            entry.future.set_exception(OverloadedError(
-                f"link {link.link_id!r} is failing over "
-                f"({self.park_limit} requests already parked); retry"
-            ))
-            return
-        link.parked.append(entry)
+    def _wire_result(self, result: _WireReply) -> Tuple[int, bytes]:
+        # The worker already validated the payload and priced the
+        # batch; pass its count and coded bytes through verbatim.
+        response, body = result
+        return response.get("count", 0), body
 
     # -- epoch snapshots ------------------------------------------------------
 
@@ -768,46 +764,46 @@ class FleetServer(LinkServer):
     async def _snapshot_link(self, link: _FleetLink) -> None:
         """One epoch: quiesce, snapshot, persist, trim the journal."""
         try:
-            while True:
-                handle = self.workers[link.worker_index]
-                if handle.state != "up":
-                    return  # the crash path owns the link now
-                # Park new traffic and wait for forwarded requests to
-                # settle. Loop: a crash-restart may reopen the link
-                # mid-wait, letting fresh requests through — re-quiesce
-                # until nothing forwarded is unanswered, so the trim
-                # below never discards an unanswered entry.
-                link.ready.clear()
-                outstanding = link.outstanding()
-                if not outstanding:
-                    break
-                await asyncio.wait(outstanding)
-            header, _ = await handle.channel.call(
-                {"op": "snapshot", "link": link.link_id}
-            )
-            if not header.get("ok"):
-                raise exception_from_header(header)
-            snapshot = header.get("snapshot")
-            if not isinstance(snapshot, dict):
-                raise ValueError("worker returned a malformed snapshot")
-            self._commit_snapshot(link, snapshot)
+            handle = self.workers[link.worker_index]
+            if handle.state != "up":
+                return  # the crash path owns the link now
+            await self._quiesce(link)
+            await self._take_snapshot(handle, link)
         except (_ChannelClosed, asyncio.TimeoutError):
             pass  # the crash path owns recovery
         except Exception:
             logger.exception("epoch snapshot of link %r failed", link.link_id)
         finally:
             link.snapshot_task = None
-            handle = self.workers[link.worker_index]
-            if handle.state == "up" and not link.ready.is_set():
-                link.ready.set()
-                flushed, link.parked = link.parked, []
-                for entry in flushed:
-                    self._send_entry(handle, link, entry)
+            self._reopen(link)
 
-    def _commit_snapshot(
-        self, link: _FleetLink, snapshot: Dict[str, Any]
+    @staticmethod
+    async def _quiesce(link: _FleetLink) -> None:
+        """Park new traffic until no forwarded request is unanswered.
+
+        Loops: a crash-restart may reopen the link mid-wait, letting
+        fresh requests through — re-quiesce until nothing forwarded is
+        pending, so a snapshot trim never discards an unanswered entry.
+        """
+        while True:
+            link.ready.clear()
+            outstanding = link.outstanding()
+            if not outstanding:
+                return
+            await asyncio.wait(outstanding)
+
+    async def _take_snapshot(
+        self, handle: _WorkerHandle, link: _FleetLink
     ) -> None:
-        """Persist a snapshot and trim the journal up to its cut."""
+        """Snapshot a quiesced link, persist it, trim the journal."""
+        header, _ = await handle.channel.call(
+            {"op": "snapshot", "link": link.link_id}
+        )
+        if not header.get("ok"):
+            raise exception_from_header(header)
+        snapshot = header.get("snapshot")
+        if not isinstance(snapshot, dict):
+            raise ValueError("worker returned a malformed snapshot")
         cut = int(snapshot.get("applied_seq", 0))
         path = self._store.save(
             self._snapshot_name(link),
@@ -822,81 +818,19 @@ class FleetServer(LinkServer):
         for seq in [s for s in link.journal if s <= cut]:
             del link.journal[seq]
 
+    def _reopen(self, link: _FleetLink) -> None:
+        """Let traffic through again and flush the parked requests."""
+        handle = self.workers[link.worker_index]
+        if handle.state != "up" or link.ready.is_set():
+            return
+        # No await between ready.set() and the flush: the loop cannot
+        # interleave a new submission ahead of parked ones.
+        link.ready.set()
+        flushed, link.parked = link.parked, []
+        for entry in flushed:
+            self._send_entry(handle, link, entry)
+
     # -- protocol glue --------------------------------------------------------
-
-    def _dispatch(
-        self,
-        header: Dict[str, Any],
-        payload: bytes,
-        reply: Any,
-        conn: Optional[_Connection] = None,
-    ) -> Optional["asyncio.Task[None]"]:
-        op = header.get("op")
-        if op not in ("encode", "decode"):
-            return super()._dispatch(header, payload, reply, conn)
-        # Same shape as LinkServer's data branch — synchronous journal
-        # and forward in frame order — but the future comes from the
-        # fleet path instead of a local engine.
-        request_id = header.get("id")
-        loop = asyncio.get_running_loop()
-        session = conn.session if conn is not None else None
-        if session is not None:
-            cached = session.recall(request_id)
-            if cached is not None:
-                return loop.create_task(reply(cached[0], cached[1]))
-            pending = session.begin(request_id)
-            if pending is not None:
-                # Replay raced the original (still executing): answer
-                # from its future instead of journaling a second copy.
-                return loop.create_task(
-                    self._answer_pending(pending, reply)
-                )
-
-        async def finish(response: Dict[str, Any], body: bytes = b"") -> None:
-            if session is not None:
-                session.complete(request_id, response, body)
-            await reply(response, body)
-
-        link_key = str(header.get("link"))
-        on_shed: Optional[Callable[[], None]] = None
-        if session is not None and conn is not None:
-            if not _fence_admits(conn, link_key, request_id):
-                _fence_record(conn, link_key, request_id)
-                return loop.create_task(
-                    finish(_fence_nack(link_key, request_id))
-                )
-            fence_conn = conn
-
-            def on_shed() -> None:
-                _fence_record(fence_conn, link_key, request_id)
-
-        try:
-            future = self._submit_data(
-                link_key, op, payload, header, on_shed
-            )
-        except Exception as exc:
-            return loop.create_task(finish(_error(request_id, exc)))
-
-        async def respond() -> None:
-            try:
-                worker_response, body = await future
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                await finish(_error(request_id, exc))
-                return
-            # The worker already validated the payload and priced the
-            # batch; pass its count and coded bytes through verbatim.
-            await finish(
-                {
-                    "id": request_id,
-                    "ok": True,
-                    "count": worker_response.get("count", 0),
-                },
-                body,
-            )
-
-        return loop.create_task(respond())
 
     async def _run_control(
         self, op: Optional[str], header: Dict[str, Any]
@@ -914,11 +848,7 @@ class FleetServer(LinkServer):
             return await self._stats(None if link is None else str(link))
         if op == "fleet":
             return {"fleet": self.describe()}
-        raise ValueError(
-            f"unknown op {op!r}; known: ['ping', 'create_link', "
-            f"'drop_link', 'encode', 'decode', 'stats', 'reset', "
-            f"'hello', 'fleet']"
-        )
+        raise ValueError(f"unknown op {op!r}; known: {[*OPS, 'fleet']}")
 
     async def _create_link(self, header: Dict[str, Any]) -> Dict[str, Any]:
         link_id = str(header.get("link"))
@@ -957,15 +887,10 @@ class FleetServer(LinkServer):
         return {"link": link_id, "info": link.info, "worker": index}
 
     async def _drop_link(self, link_id: str) -> Dict[str, Any]:
-        link = self.links.get(link_id)
-        if link is None:
-            raise UnknownLinkError(f"unknown link {link_id!r}")
+        link = self._link(link_id)
         del self.links[link_id]
         self._store.discard(self._snapshot_name(link))
-        exc = EngineClosedError("link dropped before request ran")
-        for entry in list(link.journal.values()) + link.parked:
-            if not entry.future.done():
-                entry.future.set_exception(exc)
+        link.fail_all(EngineClosedError("link dropped before request ran"))
         handle = self.workers[link.worker_index]
         if handle.state == "up":
             try:
@@ -978,44 +903,25 @@ class FleetServer(LinkServer):
 
     async def _reset_link(self, link_id: str) -> Dict[str, Any]:
         """Journal a reset and apply it between batches (quiesced)."""
-        link = self.links.get(link_id)
-        if link is None:
-            raise UnknownLinkError(f"unknown link {link_id!r}")
-        future: "asyncio.Future[_WireReply]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        entry = _JournalEntry(self._next_seq(link), "reset", b"", future, None)
-        link.journal[entry.seq] = entry
+        link = self._link(link_id)
         handle = self.workers[link.worker_index]
-        if not (link.ready.is_set() and handle.state == "up"):
-            self._park(link, entry)
-        else:
+        if link.ready.is_set() and handle.state == "up" and link.outstanding():
             # The worker applies reset inline (not through the batch
-            # queue), so order it behind in-flight data by quiescing.
-            outstanding = [f for f in link.outstanding() if f is not future]
-            if outstanding:
-                link.ready.clear()
-                await asyncio.wait(outstanding)
-                handle = self.workers[link.worker_index]
-                if handle.state == "up":
-                    link.ready.set()
-                    flushed, link.parked = link.parked, []
-                    self._send_entry(handle, link, entry)
-                    for parked_entry in flushed:
-                        self._send_entry(handle, link, parked_entry)
-                else:
-                    self._park(link, entry)
-            else:
-                self._send_entry(handle, link, entry)
+            # queue): park it behind the in-flight data and flush it, in
+            # seq order, once they are answered.
+            link.ready.clear()
+            future = self._journal(link, "reset")
+            await self._quiesce(link)
+            self._reopen(link)
+        else:
+            future = self._journal(link, "reset")
         await future
         return {}
 
     async def _stats(self, link_id: Optional[str]) -> Dict[str, Any]:
         """Aggregate worker stats; merge per-link latency histograms."""
         if link_id is not None:
-            link = self.links.get(link_id)
-            if link is None:
-                raise UnknownLinkError(f"unknown link {link_id!r}")
+            link = self._link(link_id)
             handle = self.workers[link.worker_index]
             header, _ = await handle.channel.call(
                 {"op": "stats", "link": link_id, "latency_state": True}
@@ -1112,18 +1018,8 @@ class FleetServer(LinkServer):
         for link in affected:
             link.ready.clear()
         for link in affected:
-            outstanding = link.outstanding()
-            if outstanding:
-                await asyncio.wait(outstanding)
-            header, _ = await handle.channel.call(
-                {"op": "snapshot", "link": link.link_id}
-            )
-            if not header.get("ok"):
-                raise exception_from_header(header)
-            snapshot = header.get("snapshot")
-            if not isinstance(snapshot, dict):
-                raise ValueError("worker returned a malformed snapshot")
-            self._commit_snapshot(link, snapshot)
+            await self._quiesce(link)
+            await self._take_snapshot(handle, link)
             link.worker_index = worker_for(link.link_id, survivors)
             await self._install_link(self.workers[link.worker_index], link)
         handle.state = "stopped"
@@ -1193,23 +1089,14 @@ class FleetServer(LinkServer):
                 handle.socket_path.unlink()
             except OSError:
                 pass
-        exc = EngineClosedError("fleet closed")
         for link in self.links.values():
-            for entry in list(link.journal.values()) + link.parked:
-                if not entry.future.done():
-                    entry.future.set_exception(exc)
+            link.fail_all(EngineClosedError("fleet closed"))
         self.links.clear()
         await super().close()
         if self._own_runtime_dir:
             import shutil
 
             shutil.rmtree(self.runtime_dir, ignore_errors=True)
-
-
-def _error(request_id: Any, exc: Exception) -> Dict[str, Any]:
-    """An error response header; overload NACKs are marked retriable."""
-    retriable = isinstance(exc, OverloadedError)
-    return jsonable(error_header(request_id, exc, retriable=retriable))
 
 
 #: Signatures for the lint passes. The fleet has no shape/unit surface

@@ -1,11 +1,13 @@
 """Asyncio link server speaking the :mod:`repro.serve.protocol` framing.
 
-:class:`LinkServer` accepts TCP or unix-socket connections, parses frames
-and drives a shared :class:`~repro.serve.engine.ServeEngine`. The read
-loop enqueues ``encode``/``decode`` requests *synchronously* (stream
-order = arrival order, see :meth:`ServeEngine.enqueue`) and answers each
-one from a detached task as its batch completes, so a pipelining client
-is never serialized on the slowest batch; control ops (``create_link``,
+:class:`FrameServer` accepts TCP or unix-socket connections, parses frames
+and runs the one request path every server shares: session replay, the
+order fence and the overload NACK. :class:`LinkServer` backs it with a
+shared :class:`~repro.serve.engine.ServeEngine`. The read loop enqueues
+``encode``/``decode`` requests *synchronously* (stream order = arrival
+order, see :meth:`ServeEngine.enqueue`) and answers each one from a
+detached task as its batch completes, so a pipelining client is never
+serialized on the slowest batch; control ops (``create_link``,
 ``stats``, ...) are answered inline.
 
 :class:`BackgroundServer` runs a :class:`LinkServer` on a private event
@@ -196,36 +198,38 @@ def _fence_admits(conn: _Connection, link: str, request_id: Any) -> bool:
     return False
 
 
-def _fence_record(conn: _Connection, link: str, request_id: Any) -> None:
-    """Mark ``request_id`` shed: the link is fenced until its re-issue."""
-    if isinstance(request_id, int):
-        conn.shed.setdefault(link, set()).add(request_id)
+def _error_reply(
+    conn: _Connection, header: Dict[str, Any], exc: Exception
+) -> Dict[str, Any]:
+    """The error response to a request that failed before it was applied.
+
+    This is the one overload-NACK rule of every server: an
+    :class:`OverloadedError` is answered ``retriable`` exactly when the
+    connection holds a session, and the link's order fence is recorded
+    here, before the NACK can become visible, so later pipelined
+    requests of the stream are shed too. A sessionless client has no
+    fence to back a re-issue, so its NACK is an ordinary error.
+    """
+    request_id = header.get("id")
+    link = header.get("link")
+    retriable = isinstance(exc, OverloadedError) and conn.session is not None
+    if retriable and link is not None and isinstance(request_id, int):
+        conn.shed.setdefault(str(link), set()).add(request_id)
+    return error_header(request_id, exc, retriable=retriable)
 
 
-def _fence_nack(link: str, request_id: Any) -> Dict[str, Any]:
-    """The retriable NACK answering a request the order fence shed."""
-    return error_header(
-        request_id,
-        OverloadedError(
-            f"link {link!r}: an earlier request of this stream was "
-            f"shed; re-issue the shed requests in id order"
-        ),
-        retriable=True,
-    )
+class FrameServer:
+    """Listener, connections and the one request path of every server.
 
+    :meth:`_dispatch` owns what a request frame means on the wire —
+    session replay, the order fence, the overload NACK — and hands data
+    requests to :meth:`_submit` and control ops to :meth:`_run_control`.
+    :class:`LinkServer` backs those hooks with an in-process engine; the
+    fleet front (:mod:`repro.serve.fleet`) journals and forwards to
+    worker processes instead.
+    """
 
-class LinkServer:
-    """One engine behind one listening socket (TCP or unix)."""
-
-    def __init__(
-        self,
-        engine: Optional[ServeEngine] = None,
-        policy: Optional[BatchPolicy] = None,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        self.engine = engine or ServeEngine(
-            policy=policy, max_workers=max_workers
-        )
+    def __init__(self) -> None:
         self._server: Optional[asyncio.AbstractServer] = None
         self.address: Optional[Union[Tuple[str, int], str]] = None
         self._client_sessions: "OrderedDict[str, _SessionCache]" = (
@@ -289,7 +293,6 @@ class LinkServer:
                 *self._conn_tasks, return_exceptions=True
             )
             self._conn_tasks.clear()
-        await self.engine.close()
 
     # -- connection handling ------------------------------------------------
 
@@ -389,7 +392,7 @@ class LinkServer:
     ) -> Optional["asyncio.Task[None]"]:
         """Handle one request frame; returns the detached response task.
 
-        Data-plane requests are enqueued synchronously *here*, in frame
+        Data-plane requests are submitted synchronously *here*, in frame
         arrival order, before any await — that is what makes a client's
         stream order the codec's stream order.
         """
@@ -422,54 +425,38 @@ class LinkServer:
                 session.complete(request_id, response, body)
             await reply(response, body)
 
-        async def fail(exc: Exception) -> None:
-            await finish(error_header(request_id, exc))
-
         if session is not None and op in ("encode", "decode", "reset"):
             link_key = str(header.get("link"))
             if not _fence_admits(conn, link_key, request_id):
-                _fence_record(conn, link_key, request_id)
-                return loop.create_task(
-                    finish(_fence_nack(link_key, request_id))
-                )
+                return loop.create_task(finish(_error_reply(
+                    conn, header, OverloadedError(
+                        f"link {link_key!r}: an earlier request of this "
+                        f"stream was shed; re-issue the shed requests in "
+                        f"id order"
+                    ),
+                )))
 
         if op == "hello":
             token = header.get("session")
             if not isinstance(token, str) or not token:
-                return loop.create_task(fail(
-                    ValueError("hello needs a non-empty 'session' token")
-                ))
+                return loop.create_task(finish(error_header(
+                    request_id,
+                    ValueError("hello needs a non-empty 'session' token"),
+                )))
             conn.session = self._client_session(token)
             return loop.create_task(reply({"id": request_id, "ok": True}))
 
         if op in ("encode", "decode"):
-            link = header.get("link")
-            deadline_s = header.get("deadline_s")
-            if header.get("replay"):
-                # Replayed requests were already accepted once; expiring
-                # them now would fork the restored stream from history.
-                deadline_s = None
             try:
-                seq = header.get("seq")
-                words = payload_to_words(payload)
-                future = self.engine.enqueue(
-                    str(link), op, words,
-                    deadline_s=deadline_s,
-                    seq=None if seq is None else int(seq),
+                future = self._submit(
+                    str(header.get("link")), op, payload, header
                 )
             except (
                 ServeEngineError, ProtocolError, ValueError, TypeError
             ) as exc:
-                if isinstance(exc, OverloadedError) and session is not None:
-                    # Overload shed of a session (retrying) client: the
-                    # request was never applied, so NACK it retriably —
-                    # and fence the link so later pipelined requests are
-                    # shed too and the re-issues land in stream order.
-                    _fence_record(conn, str(link), request_id)
-                    return loop.create_task(finish(
-                        error_header(request_id, exc, retriable=True)
-                    ))
-                return loop.create_task(fail(exc))
+                return loop.create_task(
+                    finish(_error_reply(conn, header, exc))
+                )
 
             async def respond() -> None:
                 try:
@@ -477,17 +464,17 @@ class LinkServer:
                 except asyncio.CancelledError:
                     raise
                 except Exception as exc:
-                    await fail(exc)
+                    # Failed after submission: later requests of the
+                    # stream may already be applied, so never retriable.
+                    await finish(error_header(request_id, exc))
                     return
+                count, body = self._wire_result(result)
                 await finish(
-                    {"id": request_id, "ok": True, "count": len(result)},
-                    words_to_payload(result),
+                    {"id": request_id, "ok": True, "count": count}, body
                 )
 
             return loop.create_task(respond())
-        return loop.create_task(
-            self._control(op, header, request_id, finish, conn)
-        )
+        return loop.create_task(self._control(header, finish, conn))
 
     @staticmethod
     async def _answer_pending(
@@ -498,13 +485,9 @@ class LinkServer:
         await reply(header, payload)
 
     async def _control(
-        self,
-        op: Optional[str],
-        header: Dict[str, Any],
-        request_id: Any,
-        reply: Any,
-        conn: Optional[_Connection] = None,
+        self, header: Dict[str, Any], finish: Any, conn: _Connection
     ) -> None:
+        op = header.get("op")
         try:
             result = await self._run_control(op, header)
         except asyncio.CancelledError:
@@ -517,22 +500,70 @@ class LinkServer:
                 exc, (ServeEngineError, LinkConfigError, ValueError, KeyError)
             ):
                 logger.exception("control op %r failed", op)
-            # Overload NACKs are retriable on the control path too (a
-            # fleet reset can be shed at the park limit): the request
-            # was never applied and the client may re-issue it.
-            retriable = isinstance(exc, OverloadedError)
-            if (
-                retriable
-                and conn is not None
-                and conn.session is not None
-                and header.get("link") is not None
-            ):
-                _fence_record(conn, str(header["link"]), request_id)
-            await reply(error_header(request_id, exc, retriable=retriable))
+            await finish(_error_reply(conn, header, exc))
             return
-        response = {"id": request_id, "ok": True}
+        response = {"id": header.get("id"), "ok": True}
         response.update(result)
-        await reply(jsonable(response))
+        await finish(jsonable(response))
+
+    # -- backend hooks --------------------------------------------------------
+
+    def _submit(
+        self, link: str, op: str, payload: bytes, header: Dict[str, Any]
+    ) -> "asyncio.Future[Any]":
+        """Take one data request, synchronously and in arrival order.
+
+        Raises :class:`OverloadedError` when the request is shed unapplied
+        (answered by the overload-NACK rule of :func:`_error_reply`).
+        """
+        raise NotImplementedError
+
+    def _wire_result(self, result: Any) -> Tuple[int, bytes]:
+        """``(word count, payload)`` of a finished :meth:`_submit`."""
+        raise NotImplementedError
+
+    async def _run_control(
+        self, op: Optional[str], header: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """Answer one control op; returns the response's fields."""
+        raise NotImplementedError
+
+
+class LinkServer(FrameServer):
+    """One engine behind one listening socket (TCP or unix)."""
+
+    def __init__(
+        self,
+        engine: Optional[ServeEngine] = None,
+        policy: Optional[BatchPolicy] = None,
+        max_workers: Optional[int] = None,
+    ) -> None:
+        super().__init__()
+        self.engine = engine or ServeEngine(
+            policy=policy, max_workers=max_workers
+        )
+
+    async def close(self) -> None:
+        await super().close()
+        await self.engine.close()
+
+    def _submit(
+        self, link: str, op: str, payload: bytes, header: Dict[str, Any]
+    ) -> "asyncio.Future[Any]":
+        deadline_s = header.get("deadline_s")
+        if header.get("replay"):
+            # Replayed requests were already accepted once; expiring
+            # them now would fork the restored stream from history.
+            deadline_s = None
+        seq = header.get("seq")
+        return self.engine.enqueue(
+            link, op, payload_to_words(payload),
+            deadline_s=deadline_s,
+            seq=None if seq is None else int(seq),
+        )
+
+    def _wire_result(self, result: Any) -> Tuple[int, bytes]:
+        return len(result), words_to_payload(result)
 
     async def _run_control(
         self, op: Optional[str], header: Dict[str, Any]
@@ -569,6 +600,7 @@ class LinkServer:
         raise ValueError(f"unknown op {op!r}; known: {list(OPS)}")
 
 
+
 class BackgroundServer:
     """A :class:`LinkServer` on a private event loop in a daemon thread.
 
@@ -583,19 +615,15 @@ class BackgroundServer:
 
     def __init__(
         self,
-        policy: Optional[BatchPolicy] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         path: Optional[str] = None,
-        max_workers: Optional[int] = None,
-        server_factory: Optional[Callable[[], Any]] = None,
+        server_factory: Callable[[], Any] = LinkServer,
         stop_timeout_s: float = 30.0,
     ) -> None:
-        self._policy = policy
         self._host = host
         self._port = port
         self._path = path
-        self._max_workers = max_workers
         #: Builds the server object on the loop thread. Anything with
         #: the LinkServer surface (async start/close, .address) works —
         #: the fleet front rides the same harness.
@@ -638,12 +666,7 @@ class BackgroundServer:
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        if self._server_factory is not None:
-            server = self._server_factory()
-        else:
-            server = LinkServer(
-                policy=self._policy, max_workers=self._max_workers
-            )
+        server = self._server_factory()
         try:
             await server.start(
                 host=self._host, port=self._port, path=self._path

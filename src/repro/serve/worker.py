@@ -38,7 +38,7 @@ from typing import Any, Dict, Optional
 
 from repro.runtime.faults import InjectedFault, fault_point
 from repro.serve.engine import BatchPolicy
-from repro.serve.server import LinkServer, _Connection
+from repro.serve.server import LinkServer
 from repro.serve.session import LinkConfig, LinkSession
 
 logger = logging.getLogger("repro.serve")
@@ -64,38 +64,30 @@ class WorkerServer(LinkServer):
         index: int,
         generation: int = 0,
         policy: Optional[BatchPolicy] = None,
-        max_workers: Optional[int] = None,
     ) -> None:
-        super().__init__(policy=policy, max_workers=max_workers)
+        super().__init__(policy=policy)
         self.index = int(index)
         self.generation = int(generation)
 
-    def _dispatch(
-        self,
-        header: Dict[str, Any],
-        payload: bytes,
-        reply: Any,
-        conn: Optional[_Connection] = None,
-    ) -> Optional["asyncio.Task[None]"]:
-        if header.get("op") in ("encode", "decode"):
+    def _submit(
+        self, link: str, op: str, payload: bytes, header: Dict[str, Any]
+    ) -> "asyncio.Future[Any]":
+        fault_point(
+            "worker_hang", worker=self.index, generation=self.generation
+        )
+        try:
             fault_point(
-                "worker_hang",
-                worker=self.index, generation=self.generation,
+                "worker_crash", worker=self.index, generation=self.generation
             )
-            try:
-                fault_point(
-                    "worker_crash",
-                    worker=self.index, generation=self.generation,
-                )
-            except InjectedFault:
-                # Die the way a crashed process dies: no unwinding, no
-                # farewell frame — the front must detect the loss itself.
-                logger.warning(
-                    "worker %d (generation %d) exiting on injected crash",
-                    self.index, self.generation,
-                )
-                os._exit(WORKER_CRASH_EXIT)
-        return super()._dispatch(header, payload, reply, conn)
+        except InjectedFault:
+            # Die the way a crashed process dies: no unwinding, no
+            # farewell frame — the front must detect the loss itself.
+            logger.warning(
+                "worker %d (generation %d) exiting on injected crash",
+                self.index, self.generation,
+            )
+            os._exit(WORKER_CRASH_EXIT)
+        return super()._submit(link, op, payload, header)
 
     async def _run_control(
         self, op: Optional[str], header: Dict[str, Any]
@@ -131,7 +123,6 @@ def worker_main(
     index: int,
     generation: int = 0,
     policy: Optional[BatchPolicy] = None,
-    max_workers: Optional[int] = None,
 ) -> None:
     """Serve one fleet worker on unix socket ``path`` until killed."""
 
@@ -154,8 +145,7 @@ def worker_main(
 
     async def main() -> None:
         server = WorkerServer(
-            index=index, generation=generation,
-            policy=policy, max_workers=max_workers,
+            index=index, generation=generation, policy=policy
         )
         await server.start(path=path)
         logger.info(
@@ -184,8 +174,6 @@ def main(argv: Optional[list] = None) -> None:
                         help="incarnation counter (0 = first spawn)")
     parser.add_argument("--policy", default=None,
                         help="BatchPolicy fields as a JSON object")
-    parser.add_argument("--max-workers", type=int, default=None,
-                        help="batch executor threads")
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.INFO,
@@ -195,8 +183,7 @@ def main(argv: Optional[list] = None) -> None:
     if args.policy:
         policy = BatchPolicy(**json.loads(args.policy))
     worker_main(
-        args.path, args.index, generation=args.generation,
-        policy=policy, max_workers=args.max_workers,
+        args.path, args.index, generation=args.generation, policy=policy
     )
 
 

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import FleetServer, LinkClient, worker_for
+from repro.serve import FleetServer, LinkClient, OverloadedError, worker_for
 from repro.serve.server import BackgroundServer
 from repro.serve.session import LinkConfig
 
@@ -207,6 +207,64 @@ class TestCrashFailover:
                 back = client.stream("rt", coded, op="decode",
                                      chunk_words=100)
         assert np.array_equal(words, back)
+
+
+class ShedCountingFleet(FleetServer):
+    """Holds each snapshot's quiesce open a while; counts park-limit sheds.
+
+    Requests arriving while a link is quiesced park, and beyond the park
+    limit they are shed; the pause makes a pipelining client's window
+    arrive inside it instead of racing one worker round trip.
+    """
+
+    shed = 0
+
+    async def _take_snapshot(self, handle, link):
+        await asyncio.sleep(0.05)
+        await super()._take_snapshot(handle, link)
+
+    def _journal(self, *args, **kwargs):
+        try:
+            return super()._journal(*args, **kwargs)
+        except OverloadedError:
+            self.shed += 1
+            raise
+
+
+class TestParkLimitFence:
+    """Park-limit sheds re-issued through the order fence stay exact."""
+
+    def test_pipelined_stream_through_sheds_and_crash_is_exact(
+        self, tmp_path, monkeypatch, baseline
+    ):
+        words, base_coded, base_energy = baseline
+        victim = worker_for("lnk", [0, 1])
+        monkeypatch.setenv("REPRO_FAULTS", f"worker_crash({victim},at=12)")
+        # park_limit=1: each epoch-snapshot quiesce parks one request of
+        # the window and sheds the rest with retriable NACKs, which the
+        # client re-issues in order, around a mid-stream worker crash.
+        with BackgroundServer(
+            path=str(tmp_path / "fleet.sock"),
+            server_factory=lambda: ShedCountingFleet(
+                n_workers=2, snapshot_every=8, park_limit=1
+            ),
+        ) as background:
+            with LinkClient.connect(
+                background.address, retries=500,
+                backoff_base_s=0.005, backoff_max_s=0.02,
+            ) as client:
+                client.create_link("lnk", CONFIG)
+                coded = client.stream("lnk", words, op="encode",
+                                      chunk_words=CHUNK, max_in_flight=8)
+                energy = client.stats("lnk")["energy"]
+                workers = client.stats()["fleet"]["workers"]
+            shed = background.server.shed
+        assert any(w["restarts"] >= 1 for w in workers), \
+            "fault never fired: no worker restarted"
+        assert shed > 0, "nothing was shed -- the park limit was never hit"
+        assert np.array_equal(base_coded, coded), \
+            "coded stream forked across park-limit sheds"
+        assert base_energy == energy
 
 
 class TestDrain:

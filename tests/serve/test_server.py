@@ -17,6 +17,7 @@ from repro.serve import (
     BackgroundServer,
     BatchPolicy,
     LinkClient,
+    LinkServer,
     OverloadedError,
     ServeError,
     UnknownLinkError,
@@ -209,7 +210,9 @@ class TestPipelining:
     def test_overload_maps_to_local_exception(self):
         policy = BatchPolicy(window_s=0.5, queue_limit=1,
                              max_batch_requests=1)
-        with BackgroundServer(policy=policy) as background:
+        with BackgroundServer(
+            server_factory=lambda: LinkServer(policy=policy)
+        ) as background:
             with LinkClient.connect(background.address) as client:
                 client.create_link("tiny", link_config(8, []))
                 from repro.serve.protocol import words_to_payload

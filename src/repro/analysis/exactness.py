@@ -816,13 +816,21 @@ class _Interp(StatementWalker):
         if intrinsic is not None:
             return intrinsic
 
-        if isinstance(func, ast.Attribute):
+        if isinstance(func, ast.Attribute) and not self._module_function(
+            canonical
+        ):
             return self._attribute_call(
                 node, func, first, arg_facts, kw_facts, all_taints, dtype
             )
         return self._resolved_call(
             node, canonical, arg_facts, kw_facts, all_taints
         )
+
+    def _module_function(self, canonical: str) -> bool:
+        """Whether ``canonical`` names an analyzed module-level function,
+        as a module-attribute call (``helper.ratio(a, b)``) does."""
+        qual = self.a.program.resolve(canonical, self.module)
+        return qual is not None and not self.a.functions[qual].class_name
 
     def _intrinsic_call(
         self,

@@ -23,6 +23,7 @@ while the control plane snapshots them from the event loop.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import threading
 import time
@@ -311,11 +312,80 @@ class LinkMetrics:
         return data
 
 
-#: Words per float32 Gram/ones slab.  Partial sums inside one SGEMM or
-#: SGEMV are integers bounded by the slab length, far inside float32's
-#: exact-integer range (2**24).  Small slabs keep the temporaries (144 KiB
-#: at width 9) in cache: one slab per 25k-word batch took twice as long.
+#: Widest word whose account tallies histograms instead of SGEMMs: its
+#: (3**9 + 1) / 2 transition bins are 38 KiB of int32, where 16-bit words
+#: would need 86 MiB.  Every link of a 3x3 array fits.
+_HISTOGRAM_MAX_WIDTH = 9
+
+#: Words the int32 bins take before they are folded into the int64
+#: tallies; no bin counts more than the words booked into the bins.
+_BIN_LIMIT = int(np.iinfo(np.int32).max)
+
+#: Words per float32 Gram/ones slab of the wider words.  Partial sums
+#: inside one SGEMM or SGEMV are integers bounded by the slab length, far
+#: inside float32's exact-integer range (2**24).  Small slabs keep the
+#: temporaries in cache: one slab per 25k-word batch took twice as long.
 _GRAM_SLAB_ROWS = 1 << 12
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_table(base: int, count: int) -> np.ndarray:
+    """``(base**count, count)`` int64 digits of ``0 .. base**count - 1``,
+    least significant first; built on first use, read-only."""
+    table = np.arange(base ** count)[:, None] // base ** np.arange(count)
+    table %= base
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _ternary_codes(width: int) -> np.ndarray:
+    """``T[w] = sum_i 3**i b_i(w)`` of every ``width``-bit word.
+
+    ``T[v] - T[u] = sum_i 3**i db_i`` is the balanced-ternary number whose
+    digits are the transition ``u -> v``, so ``|T[v] - T[u]|``, in
+    ``0 .. (3**width - 1) // 2``, names the transition up to its sign.
+    """
+    codes = _digit_table(2, width) @ 3 ** np.arange(width)
+    codes.flags.writeable = False
+    return codes
+
+
+def _word_bits(word: int, width: int) -> np.ndarray:
+    """``(width,)`` int64 bits of one unsigned word, LSB first."""
+    return (word >> np.arange(width)) & 1
+
+
+def _fold_histograms(
+    transitions: np.ndarray, values: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Word-bit Gram ``sum_k h[k] d(k) d(k)^T`` and ones ``sum_v h[v] b(v)``.
+
+    ``transitions[k]`` counts the steps ``d`` with ``|sum_i 3**i d_i| = k``;
+    ``d`` and ``-d`` add the same ``d d^T``, so each is booked as the one
+    whose base-3 code ``k + (3**width - 1) // 2`` has digits ``d_i + 1``.
+    Each code splits into its ``low`` least significant digits and the
+    rest, so a histogram is a (high, low) matrix ``H`` and only the digit
+    tables of the halves are needed: the diagonal blocks weight a half's
+    digits by its marginal counts, the cross block is ``D_hi^T H D_lo``.
+    Everything is int64 arithmetic, so the fold is exact.
+    """
+    low = width // 2
+    high = width - low
+    ternary = np.zeros(3 ** width, dtype=np.int64)
+    ternary[len(transitions) - 1:] = transitions
+    ternary = ternary.reshape(3 ** high, 3 ** low)
+    d_low = _digit_table(3, low) - 1
+    d_high = _digit_table(3, high) - 1
+    gram = np.empty((width, width), dtype=np.int64)
+    gram[:low, :low] = (d_low.T * ternary.sum(axis=0)) @ d_low
+    gram[low:, low:] = (d_high.T * ternary.sum(axis=1)) @ d_high
+    gram[low:, :low] = d_high.T @ (ternary @ d_low)
+    gram[:low, low:] = gram[low:, :low].T
+    binary = np.asarray(values, np.int64).reshape(2 ** high, 2 ** low)
+    ones = np.concatenate([binary.sum(axis=0) @ _digit_table(2, low),
+                           binary.sum(axis=1) @ _digit_table(2, high)])
+    return gram, ones
 
 
 def _word_levels(words: np.ndarray, width: int) -> np.ndarray:
@@ -323,6 +393,30 @@ def _word_levels(words: np.ndarray, width: int) -> np.ndarray:
     little = np.ascontiguousarray(words, "<i8").view(np.uint8)
     return np.unpackbits(little.reshape(len(words), 8), axis=1, count=width,
                          bitorder="little").astype(np.float32)
+
+
+def _slab_moments(
+    words: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Word-bit Gram of the deltas and ones counts of one batch, by slabs.
+
+    Slab by slab (plus the next slab's first word, for the delta across),
+    the word-bit levels feed both tallies through BLAS: the Gram of their
+    deltas as an SGEMM, the ones counts as an SGEMV.  Every operand is an
+    integer (levels 0/1, deltas 0/±1), so each partial sum is an integer
+    bounded by the slab length, and the products are bit-equal to the
+    int64 ones in any order.
+    """
+    gram = np.zeros((width, width), dtype=np.int64)
+    ones = np.zeros(width, dtype=np.int64)
+    unit = np.ones(min(len(words), _GRAM_SLAB_ROWS), dtype=np.float32)
+    for lo in range(0, len(words), _GRAM_SLAB_ROWS):
+        levels = _word_levels(words[lo:lo + _GRAM_SLAB_ROWS + 1], width)
+        deltas = levels[1:] - levels[:-1]
+        body = levels[:_GRAM_SLAB_ROWS]
+        gram += (deltas.T @ deltas).astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
+        ones += (unit[:len(body)] @ body).astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
+    return gram, ones
 
 
 def _state_array(
@@ -353,14 +447,21 @@ class EnergyAccount:
     that :meth:`BitStatistics.from_stream` would compute on the whole
     routed bit stream — the transition Gram matrix ``sum_t db_t db_t^T``,
     the ones count ``sum_t b_t`` and the sample count — keeping the last
-    line sample of the previous batch so inter-batch transitions are
-    counted too. All entries stay exactly representable in float64 (they
-    are bounded by the sample count), so :meth:`normalized_power`
-    reproduces the offline
+    word of the previous batch so inter-batch transitions are counted
+    too. All entries stay exactly representable in float64 (they are
+    bounded by the sample count), so :meth:`normalized_power` reproduces
+    the offline
 
     ``CompiledPowerModel(BitStatistics.from_stream(stream), cap).power()``
 
     bit for bit.
+
+    Words are tallied in the word-bit domain and mapped onto the lines
+    when the account is read.  Words of up to ``_HISTOGRAM_MAX_WIDTH``
+    bits go into two integer histograms, one over the transition vectors
+    up to sign and one over the ``2**width`` word values, which hold
+    everything the Gram and the ones counts need; wider words go through
+    slabbed SGEMMs per batch.
     """
 
     def __init__(
@@ -390,10 +491,22 @@ class EnergyAccount:
         self._flip = np.asarray(assignment.inverted, np.uint8)[self._order]
         signs = 1 - 2 * self._flip.astype(np.int64)
         self._signs = np.outer(signs, signs)
+        # Line-domain moments of a restored snapshot; rebound, never
+        # updated in place.
         self._gram = np.zeros((n_lines, n_lines), dtype=np.int64)
         self._ones = np.zeros(n_lines, dtype=np.int64)
         self._n_samples = 0
-        self._last: Optional[np.ndarray] = None
+        # Word-bit moments of the words booked since: ``_booked`` words,
+        # the last one ``_last_word``.  The Gram and ones hold wide
+        # batches, their boundary steps and folded bins; the int32 bins
+        # hold ``_binned`` words and are allocated on first use.
+        self._word_gram = np.zeros((self.width, self.width), dtype=np.int64)
+        self._word_ones = np.zeros(self.width, dtype=np.int64)
+        self._booked = 0
+        self._last_word: Optional[int] = None
+        self._transitions: Optional[np.ndarray] = None
+        self._values: Optional[np.ndarray] = None
+        self._binned = 0
         self._lock = threading.Lock()
 
     def update(self, words: np.ndarray) -> None:
@@ -407,36 +520,91 @@ class EnergyAccount:
             return
         if words.min() < 0 or words.max() >= 1 << width:
             raise ValueError(f"words outside unsigned range for width {width}")
-        # Slab by slab (plus the next slab's first word, for the delta
-        # across), the word-bit levels feed both tallies through BLAS: the
-        # Gram of their deltas as an SGEMM, the ones counts as an SGEMV.
-        # Every operand is an integer (levels 0/1, deltas 0/±1), so each
-        # partial sum is an integer bounded by the slab length, and the
-        # products are bit-equal to the int64 ones in any order.
-        gram = np.zeros((self.n_lines,) * 2, dtype=np.int64)
-        ones = np.zeros(self.n_lines, dtype=np.int64)
-        unit = np.ones(min(n, _GRAM_SLAB_ROWS), dtype=np.float32)
-        for lo in range(0, n, _GRAM_SLAB_ROWS):
-            levels = _word_levels(words[lo:lo + _GRAM_SLAB_ROWS + 1], width)
-            deltas = levels[1:] - levels[:-1]
-            body = levels[:_GRAM_SLAB_ROWS]
-            gram[:width, :width] += (deltas.T @ deltas).astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
-            ones[:width] += (unit[:len(body)] @ body).astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
-        # Onto the lines; padded bits stay 0, so they never switch.
-        gram = gram[np.ix_(self._order, self._order)] * self._signs
-        ones = np.where(self._flip == 1, n - ones[self._order], ones[self._order])
-        ends = np.zeros((2, self.n_lines), dtype=np.uint8)
-        ends[:, :width] = _word_levels(words[[0, -1]], width)
-        first, last = ends[:, self._order] ^ self._flip
+        words = words.astype(np.intp, copy=False)
+        if width > _HISTOGRAM_MAX_WIDTH:
+            gram, ones = _slab_moments(words, width)
+            with self._lock:
+                if self._last_word is not None:
+                    # The transition across the batch boundary.
+                    step = (_word_bits(int(words[0]), width)
+                            - _word_bits(self._last_word, width))
+                    gram += np.outer(step, step)
+                self._word_gram += gram
+                self._word_ones += ones
+                self._booked += n
+                self._n_samples += n
+                self._last_word = int(words[-1])
+            return
+        # One gather, one diff and two bincounts: the histograms of the
+        # transitions, up to sign, and of the word values.
+        table = _ternary_codes(width)
+        codes = table[words]
+        steps = codes[1:] - codes[:-1]
+        np.abs(steps, out=steps)
+        transitions = np.bincount(steps, minlength=(3 ** width + 1) // 2)
+        values = np.bincount(words, minlength=1 << width)
         with self._lock:
-            if self._last is not None:
-                # The transition across the batch boundary, on the lines.
-                step = first.astype(np.int64) - self._last
-                gram += np.outer(step, step)
-            self._gram += gram
-            self._ones += ones
+            if self._last_word is not None:
+                transitions[abs(codes[0] - table[self._last_word])] += 1
+            self._bin_locked(transitions, values, n, width)
+            self._booked += n
             self._n_samples += n
-            self._last = last
+            self._last_word = int(words[-1])
+
+    def _bin_locked(
+        self, transitions: np.ndarray, values: np.ndarray, n: int, width: int
+    ) -> None:
+        """Add one batch's histograms of ``n`` words to the bins."""
+        if self._transitions is None or self._values is None:
+            self._transitions = np.zeros((3 ** width + 1) // 2,
+                                         dtype=np.int32)
+            self._values = np.zeros(1 << width, dtype=np.int32)
+        if self._binned + n <= _BIN_LIMIT:
+            self._transitions += transitions
+            self._values += values
+            self._binned += n
+            return
+        # The int32 bins could overflow: fold them and the batch.
+        gram, ones = _fold_histograms(self._transitions + transitions,
+                                      self._values + values, width)
+        self._word_gram += gram
+        self._word_ones += ones
+        self._transitions.fill(0)
+        self._values.fill(0)
+        self._binned = 0
+
+    def _moments(self) -> Tuple[np.ndarray, np.ndarray, int, Optional[int]]:
+        """Line-domain Gram and ones counts, sample count and last word of
+        everything booked: copied under the lock, folded outside it."""
+        with self._lock:
+            base_gram, base_ones = self._gram, self._ones
+            gram, ones = self._word_gram.copy(), self._word_ones.copy()
+            binned = None
+            if self._binned and self._transitions is not None \
+                    and self._values is not None:
+                binned = self._transitions.copy(), self._values.copy()
+            booked, n_samples = self._booked, self._n_samples
+            last_word = self._last_word
+        if binned is not None:
+            folded = _fold_histograms(*binned, self.width)
+            gram += folded[0]
+            ones += folded[1]
+        # Onto the lines; padded bits stay 0, so they never switch.
+        padded = np.zeros((self.n_lines, self.n_lines), dtype=np.int64)
+        padded[:self.width, :self.width] = gram
+        line_gram = padded[np.ix_(self._order, self._order)] * self._signs
+        counts = np.zeros(self.n_lines, dtype=np.int64)
+        counts[:self.width] = ones
+        counts = counts[self._order]
+        line_ones = np.where(self._flip == 1, booked - counts, counts)
+        return (base_gram + line_gram, base_ones + line_ones, n_samples,
+                last_word)
+
+    def _line_sample(self, word: int) -> np.ndarray:
+        """The ``(n_lines,)`` bits one word puts on the lines."""
+        bits = np.zeros(self.n_lines, dtype=np.uint8)
+        bits[:self.width] = _word_bits(word, self.width)
+        return bits[self._order] ^ self._flip
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-able snapshot of the exact accumulated stream moments.
@@ -447,17 +615,17 @@ class EnergyAccount:
         :meth:`load_state_dict` restore continues the accounting
         bit-identically.
         """
-        with self._lock:
-            return {
-                "n_lines": self.n_lines,
-                "gram": [[int(x) for x in row] for row in self._gram],
-                "ones": [int(x) for x in self._ones],
-                "n_samples": int(self._n_samples),
-                "last": (
-                    None if self._last is None
-                    else [int(x) for x in self._last]
-                ),
-            }
+        gram, ones, n_samples, last_word = self._moments()
+        return {
+            "n_lines": self.n_lines,
+            "gram": [[int(x) for x in row] for row in gram],
+            "ones": [int(x) for x in ones],
+            "n_samples": int(n_samples),
+            "last": (
+                None if last_word is None
+                else [int(x) for x in self._line_sample(last_word)]
+            ),
+        }
 
     def load_state_dict(self, state: Mapping[str, object]) -> None:
         """Restore a :meth:`state_dict` snapshot (exact inverse)."""
@@ -484,15 +652,24 @@ class EnergyAccount:
             raise ValueError(
                 "account state 'ones' counts must be in 0..n_samples"
             )
-        last: Optional[np.ndarray] = None
+        last_word: Optional[int] = None
         if state.get("last") is not None:
             last = _state_array(state, "last", (n,))
             if not np.isin(last, (0, 1)).all():
                 raise ValueError(
                     f"account state 'last' must be {n} bits (0/1)"
                 )
-            last = last.astype(np.uint8)
-        if (last is None) != (n_samples == 0):
+            # Back to the word it puts on the lines: line j holds bit
+            # order[j], and a padded line only ever its inversion level.
+            bits = last ^ self._flip
+            live = self._order < self.width
+            if bits[~live].any():
+                raise ValueError(
+                    "account state 'last' is not a sample this account's "
+                    "routing puts on the lines"
+                )
+            last_word = int((bits[live] << self._order[live]).sum())
+        if (last_word is None) != (n_samples == 0):
             raise ValueError(
                 "account state 'last' must be present exactly when "
                 "n_samples > 0"
@@ -501,7 +678,14 @@ class EnergyAccount:
             self._gram = gram.copy()
             self._ones = ones.copy()
             self._n_samples = n_samples
-            self._last = last
+            self._word_gram.fill(0)
+            self._word_ones.fill(0)
+            self._booked = 0
+            self._last_word = last_word
+            if self._transitions is not None and self._values is not None:
+                self._transitions.fill(0)
+                self._values.fill(0)
+            self._binned = 0
 
     @property
     def n_samples(self) -> int:
@@ -514,17 +698,15 @@ class EnergyAccount:
         Identical (to the last ulp) to ``BitStatistics.from_stream`` over
         the concatenated batches; ``None`` before two samples exist.
         """
-        with self._lock:
-            transitions = self._n_samples - 1
-            if transitions < 1:
-                return None
-            coupling = self._gram / float(transitions)
-            probabilities = self._ones / float(self._n_samples)
-            n_samples = self._n_samples
+        gram, ones, n_samples, _ = self._moments()
+        transitions = n_samples - 1
+        if transitions < 1:
+            return None
+        coupling = gram / float(transitions)
         return BitStatistics(
             self_switching=np.diag(coupling).copy(),
             coupling=coupling,
-            probabilities=probabilities,
+            probabilities=ones / float(n_samples),
             n_samples=n_samples,
         )
 
@@ -606,7 +788,13 @@ REPRO_SIGNATURES = {
         "EnergyAccount._gram guarded_by _lock",
         "EnergyAccount._ones guarded_by _lock",
         "EnergyAccount._n_samples guarded_by _lock",
-        "EnergyAccount._last guarded_by _lock",
+        "EnergyAccount._word_gram guarded_by _lock",
+        "EnergyAccount._word_ones guarded_by _lock",
+        "EnergyAccount._booked guarded_by _lock",
+        "EnergyAccount._last_word guarded_by _lock",
+        "EnergyAccount._transitions guarded_by _lock",
+        "EnergyAccount._values guarded_by _lock",
+        "EnergyAccount._binned guarded_by _lock",
     ],
     # Exactness discipline (REP3xx): the energy tallies are the paper's
     # integer statistic — float contamination would break the bit-exact
@@ -616,6 +804,12 @@ REPRO_SIGNATURES = {
         "EnergyAccount._gram",
         "EnergyAccount._ones",
         "EnergyAccount._n_samples",
+        "EnergyAccount._word_gram",
+        "EnergyAccount._word_ones",
+        "EnergyAccount._booked",
+        "EnergyAccount._transitions",
+        "EnergyAccount._values",
+        "EnergyAccount._binned",
     ],
     "@deterministic": [
         "EnergyAccount.statistics",

@@ -357,12 +357,11 @@ class LinkSession:
     def energy_report(self) -> Dict[str, Any]:
         """Live coded-vs-uncoded power comparison of everything encoded."""
         with self._lock:
-            # reset() rebinds the accounts; snapshot both references under
-            # the lock so the comparison prices one consistent stream.
-            coded_account = self.coded_energy
-            uncoded_account = self.uncoded_energy
-        coded = coded_account.report()
-        uncoded = uncoded_account.report()
+            # Both reads under the lock: an encode (or a reset, which
+            # rebinds the accounts) between them would price the coded
+            # and uncoded accounts on different streams.
+            coded = self.coded_energy.report()
+            uncoded = self.uncoded_energy.report()
         savings = None
         coded_power = coded["normalized_power_farad"]
         uncoded_power = uncoded["normalized_power_farad"]

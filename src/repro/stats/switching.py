@@ -33,8 +33,14 @@ def validate_bit_stream(stream: np.ndarray) -> np.ndarray:
         raise ValueError(f"bit stream must be 2-D (samples, lines), got {arr.ndim}-D")
     if arr.shape[0] < 2:
         raise ValueError("bit stream needs at least 2 samples to have transitions")
-    values = np.unique(arr)
-    if not np.isin(values, (0, 1)).all():
+    # O(n): min/max for bools and integers, equality for the rest;
+    # np.unique (a sort) only to name the offending values.
+    if arr.dtype.kind in "biu":
+        valid = arr.size == 0 or (arr.min() >= 0 and arr.max() <= 1)
+    else:
+        valid = bool(((arr == 0) | (arr == 1)).all())
+    if not valid:
+        values = np.unique(arr)
         raise ValueError(f"bit stream may contain only 0 and 1, found {values[:10]}")
     return arr.astype(np.uint8)
 

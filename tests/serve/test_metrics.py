@@ -1,5 +1,6 @@
 """Metrics layer: exact energy accounting, histograms, rate meters."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -143,11 +144,13 @@ class TestEnergyAccountExactness:
     def test_small_slabs_match_int64_reference(self, cuts):
         # Slabs of 5 rows split every batch longer than 5 across several
         # float32 SGEMM/SGEMV calls; 1-row and empty batches come from
-        # repeated and adjacent cut points.
+        # repeated and adjacent cut points.  A zero histogram cutoff
+        # sends these five-bit words down the slab path.
         words = word_stream(60, WIDTH, seed=len(cuts))
         account = routed_account()
         edges = [0] + sorted(cuts) + [len(words)]
-        with mock.patch.object(metrics, "_GRAM_SLAB_ROWS", 5):
+        with mock.patch.object(metrics, "_GRAM_SLAB_ROWS", 5), \
+                mock.patch.object(metrics, "_HISTOGRAM_MAX_WIDTH", 0):
             for a, b in zip(edges[:-1], edges[1:]):
                 account.update(words[a:b])
         wide = routed_bits(words).astype(np.int64)
@@ -161,7 +164,8 @@ class TestEnergyAccountExactness:
     def test_single_row_batches_with_small_slabs(self):
         words = word_stream(12, WIDTH, seed=7)
         account = routed_account()
-        with mock.patch.object(metrics, "_GRAM_SLAB_ROWS", 5):
+        with mock.patch.object(metrics, "_GRAM_SLAB_ROWS", 5), \
+                mock.patch.object(metrics, "_HISTOGRAM_MAX_WIDTH", 0):
             account.update(words[:0])
             for row in range(len(words)):
                 account.update(words[row:row + 1])
@@ -182,6 +186,133 @@ class TestEnergyAccountExactness:
         assert report["power_mw"] == pytest.approx(
             1.0e3 * power * 1.0 * 2.0e9 / 2.0
         )
+
+
+#: Ten lines: every width of the histogram path, and one above its cutoff.
+TEN_LINES = TSVArrayGeometry(rows=2, cols=5, pitch=4.0e-6, radius=1.0e-6)
+
+
+def line_moments(words, width, assignment):
+    """The int64 state an account must hold after booking ``words``."""
+    wide = routed_bits(words, width, assignment).astype(np.int64)
+    deltas = wide[1:] - wide[:-1]
+    return {
+        "n_lines": assignment.n_bits,
+        "gram": (deltas.T @ deltas).tolist(),
+        "ones": wide.sum(axis=0).tolist(),
+        "n_samples": len(words),
+        "last": wide[-1].tolist(),
+    }
+
+
+@st.composite
+def routed_streams(draw, width):
+    """Words of ``width`` bits on ten lines, with a signed routing and
+    a chunking into batches (empty and 1-word batches included); some
+    streams are runs of repeated words."""
+    lines = draw(st.permutations(range(10)))
+    inverted = draw(st.lists(st.booleans(), min_size=10, max_size=10))
+    n = draw(st.integers(1, 300))
+    words = word_stream(n, width, seed=draw(st.integers(0, 2 ** 32 - 1)))
+    run = draw(st.sampled_from([1, 1, 7, 64]))
+    words = np.repeat(words[::run], run)[:n]
+    sizes = draw(st.lists(st.integers(0, 40), max_size=12))
+    edges = [0, *np.cumsum(sizes, dtype=np.int64).clip(0, n).tolist(), n]
+    batches = [words[a:b] for a, b in zip(edges[:-1], edges[1:])]
+    if draw(st.booleans()):
+        batches = [words[i:i + 1] for i in range(n)]
+    assignment = SignedPermutation.from_sequence(lines, inverted)
+    return words, batches, assignment
+
+
+class TestHistogramAccounts:
+    """Words up to the cutoff width are tallied as transition and value
+    histograms; wider ones by slabs.  Both must equal the offline
+    statistics of the routed line stream bit for bit."""
+
+    @pytest.mark.parametrize("width", range(1, 11))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_matches_from_stream(self, width, data):
+        assert (width > metrics._HISTOGRAM_MAX_WIDTH) == (width == 10)
+        words, batches, assignment = data.draw(routed_streams(width))
+        account = EnergyAccount(10, cap_model_for(TEN_LINES), width,
+                                assignment)
+        for batch in batches:
+            account.update(batch)
+        assert account.state_dict() == line_moments(words, width, assignment)
+        if len(words) < 2:
+            assert account.statistics() is None
+            return
+        offline = BitStatistics.from_stream(
+            routed_bits(words, width, assignment)
+        )
+        online = account.statistics()
+        np.testing.assert_array_equal(online.coupling, offline.coupling)
+        np.testing.assert_array_equal(online.self_switching,
+                                      offline.self_switching)
+        np.testing.assert_array_equal(online.probabilities,
+                                      offline.probabilities)
+        assert online.n_samples == offline.n_samples
+        assert account.normalized_power() == CompiledPowerModel(
+            offline, cap_model_for(TEN_LINES)
+        ).power()
+
+    @pytest.mark.parametrize("width", [1, 4, 9, 10])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_restored_snapshot_continues_the_stream(self, width, data):
+        words, batches, assignment = data.draw(routed_streams(width))
+        cut = data.draw(st.integers(0, len(batches)))
+        capacitance = cap_model_for(TEN_LINES)
+        whole = EnergyAccount(10, capacitance, width, assignment)
+        head = EnergyAccount(10, capacitance, width, assignment)
+        for batch in batches:
+            whole.update(batch)
+        for batch in batches[:cut]:
+            head.update(batch)
+        resumed = EnergyAccount(10, capacitance, width, assignment)
+        if data.draw(st.booleans()):
+            # A used account forgets its own stream on restore.
+            resumed.update(word_stream(33, width, seed=1))
+        resumed.load_state_dict(json.loads(json.dumps(head.state_dict())))
+        for batch in batches[cut:]:
+            resumed.update(batch)
+        assert resumed.state_dict() == whole.state_dict()
+        assert resumed.normalized_power() == whole.normalized_power()
+
+    @pytest.mark.parametrize("limit", [1, 5, 37])
+    def test_bins_fold_before_they_overflow(self, limit):
+        # A tiny bin limit folds the int32 bins into the int64 tallies
+        # every few batches; the totals must not notice.
+        words = word_stream(400, WIDTH, seed=limit)
+        account = routed_account()
+        with mock.patch.object(metrics, "_BIN_LIMIT", limit):
+            for lo in range(0, len(words), 23):
+                account.update(words[lo:lo + 23])
+        assert account.state_dict() == line_moments(words, WIDTH, ASSIGNMENT)
+
+    def test_reads_leave_the_tallies_alone(self):
+        words = word_stream(90, WIDTH, seed=3)
+        account = routed_account()
+        account.update(words[:50])
+        first = account.state_dict()
+        assert account.state_dict() == first
+        account.statistics()
+        account.update(words[50:])
+        assert account.state_dict() == line_moments(words, WIDTH, ASSIGNMENT)
+
+    def test_restore_rejects_a_last_sample_the_routing_cannot_drive(self):
+        account = routed_account()
+        account.update(word_stream(10, WIDTH))
+        state = account.state_dict()
+        # Line 2 carries padding bit 5, inverted: it always sits at 1.
+        assert ASSIGNMENT.bit_of_line[2] == WIDTH
+        state["last"][2] = 0
+        fresh = routed_account()
+        with pytest.raises(ValueError, match="routing"):
+            fresh.load_state_dict(state)
+        assert fresh.n_samples == 0
 
 
 class TestLatencyHistogram:
@@ -289,6 +420,52 @@ class TestSnapshotConsistency:
         writer.join(timeout=30.0)
         reader.join(timeout=30.0)
         assert errors == []
+
+    def test_account_reads_see_whole_batches(self):
+        """A read copies every tally under one lock hold, so each
+        snapshot taken while batches land is the state after some whole
+        prefix of them, never a mix."""
+        import sys
+        import threading
+
+        words = word_stream(3000, WIDTH, seed=9)
+        batches = np.array_split(words, 1000)
+        reference = routed_account()
+        prefixes = [reference.state_dict()]
+        for batch in batches:
+            reference.update(batch)
+            prefixes.append(reference.state_dict())
+        account = routed_account()
+        done = threading.Event()
+        errors = []
+
+        def update():
+            for batch in batches:
+                account.update(batch)
+            done.set()
+
+        def read():
+            try:
+                while not done.is_set():
+                    assert account.state_dict() in prefixes
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=update)] + [
+                threading.Thread(target=read) for _ in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert account.state_dict() == prefixes[-1]
 
     def test_rate_meter_total_is_locked(self):
         import threading

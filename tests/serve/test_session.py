@@ -230,6 +230,44 @@ class TestReportingConcurrency:
         reader.join(timeout=30.0)
         assert errors == []
 
+    def test_energy_report_reads_both_accounts_in_one_cut(self):
+        """An encode cannot land between the coded and uncoded reads.
+
+        The coded account's report is wrapped to encode more words right
+        after it is read: directly when the session lock is free (the
+        encode then lands between the two reads), else from a thread
+        that must wait for the report to finish.
+        """
+        import threading
+
+        session = LinkSession(make_config(codecs=[{"kind": "businvert"}]))
+        words = np.random.default_rng(5).integers(0, 256, 300)
+        session.encode(words[:200])
+        account = session.coded_energy
+        read_coded = account.report
+        late = []
+
+        def report_then_encode():
+            report = read_coded()
+            if session._lock.locked():
+                late.append(threading.Thread(target=session.encode,
+                                             args=(words[200:],)))
+                late[-1].start()
+            else:
+                session.encode(words[200:])
+            return report
+
+        account.report = report_then_encode
+        try:
+            report = session.energy_report()
+        finally:
+            for thread in late:
+                thread.join(timeout=30.0)
+            del account.report
+        assert report["coded"]["n_samples"] == 200
+        assert report["uncoded"]["n_samples"] == 200
+        assert session.energy_report()["uncoded"]["n_samples"] == 300
+
     def test_info_is_consistent_during_reset(self):
         import threading
 

@@ -25,6 +25,29 @@ class TestValidation:
         out = validate_bit_stream(np.zeros((3, 2), dtype=np.int64))
         assert out.dtype == np.uint8
 
+    @pytest.mark.parametrize(
+        "dtype", [bool, np.uint8, np.int8, np.int64, np.uint64, np.float32,
+                  np.float64]
+    )
+    def test_accepts_zero_one_in_any_numeric_dtype(self, dtype):
+        bits = np.array([[0, 1, 1], [1, 0, 1]]).astype(dtype)
+        out = validate_bit_stream(bits)
+        assert out.dtype == np.uint8
+        assert out.tolist() == [[0, 1, 1], [1, 0, 1]]
+
+    @pytest.mark.parametrize("bad,found", [
+        (np.array([[0, 1], [-1, 1]], dtype=np.int8), "[-1  0  1]"),
+        (np.array([[0, 1], [1, 256]], dtype=np.int64), "[  0   1 256]"),
+        (np.array([[0.0, 0.5], [1.0, 1.0]]), "[0.  0.5 1. ]"),
+        (np.array([[0.0, np.nan], [1.0, 1.0]]), "[ 0.  1. nan]"),
+    ])
+    def test_rejection_names_the_values_found(self, bad, found):
+        with pytest.raises(ValueError) as error:
+            validate_bit_stream(bad)
+        assert str(error.value) == (
+            f"bit stream may contain only 0 and 1, found {found}"
+        )
+
 
 class TestFromStream:
     def test_known_toggling_stream(self):

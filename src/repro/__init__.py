@@ -24,17 +24,7 @@ low-power codes), :mod:`repro.circuit` (transient/energy validation),
 paper's figures).
 """
 
-from repro.core.assignment import AssignmentConstraints, SignedPermutation
-from repro.core.pipeline import (
-    AssignmentReport,
-    evaluate_assignment,
-    optimize_assignment,
-)
-from repro.core.power import PowerModel
-from repro.stats.switching import BitStatistics
-from repro.tsv.capmodel import LinearCapacitanceModel
-from repro.tsv.extractor import CapacitanceExtractor
-from repro.tsv.geometry import PositionClass, TSVArrayGeometry
+import importlib
 
 __version__ = "1.0.0"
 
@@ -52,3 +42,32 @@ __all__ = [
     "optimize_assignment",
     "__version__",
 ]
+
+#: Where each public name is defined; imported on first access (PEP 562),
+#: so importing one subpackage (say the linter) loads only what it needs.
+_LAZY = {
+    "AssignmentConstraints": "repro.core.assignment",
+    "SignedPermutation": "repro.core.assignment",
+    "AssignmentReport": "repro.core.pipeline",
+    "evaluate_assignment": "repro.core.pipeline",
+    "optimize_assignment": "repro.core.pipeline",
+    "PowerModel": "repro.core.power",
+    "BitStatistics": "repro.stats.switching",
+    "LinearCapacitanceModel": "repro.tsv.capmodel",
+    "CapacitanceExtractor": "repro.tsv.extractor",
+    "PositionClass": "repro.tsv.geometry",
+    "TSVArrayGeometry": "repro.tsv.geometry",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -25,31 +25,9 @@ See ``docs/static_analysis.md`` for the full rule and contract catalogue.
 
 from __future__ import annotations
 
+import importlib
 import sys
 from typing import Optional, Sequence
-
-from repro.analysis.contracts import (
-    ContractViolation,
-    check_capacitance_matrix,
-    check_enabled,
-    check_mna_system,
-    check_probabilities,
-    check_signed_permutation,
-    check_switching_matrix,
-    contract,
-    contracts_enabled,
-    contracts_override,
-)
-from repro.analysis.findings import (
-    Finding,
-    render_github,
-    render_json,
-    render_sarif,
-    render_text,
-    summarize,
-)
-from repro.analysis.linter import ALL_RULES, lint_file, lint_paths, lint_source
-from repro.analysis.program import Program, collector_paused
 
 __all__ = [
     "ALL_RULES",
@@ -71,6 +49,46 @@ __all__ = [
     "lint_source",
     "run_lint",
 ]
+
+#: Public names defined in a submodule, imported on first access (PEP 562):
+#: the runtime contracts need no linter, and the linter needs no numpy.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "ContractViolation", "check_capacitance_matrix", "check_enabled",
+            "check_mna_system", "check_probabilities",
+            "check_signed_permutation", "check_switching_matrix",
+            "contract", "contracts_enabled", "contracts_override",
+        ),
+        "repro.analysis.contracts",
+    ),
+    **dict.fromkeys(
+        (
+            "Finding", "render_github", "render_json", "render_sarif",
+            "render_text", "summarize",
+        ),
+        "repro.analysis.findings",
+    ),
+    **dict.fromkeys(
+        ("ALL_RULES", "lint_file", "lint_paths", "lint_source"),
+        "repro.analysis.linter",
+    ),
+    **dict.fromkeys(("Program", "collector_paused"), "repro.analysis.program"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 #: Output formats ``run_lint`` understands (and the CLI exposes).
 LINT_FORMATS = ("text", "json", "sarif", "github")
@@ -97,6 +115,9 @@ def _excluded(findings, exclude):
 
 def _analyze(paths, deep, threads, exact):
     """The sorted findings of the requested passes over ``paths``."""
+    from repro.analysis.linter import lint_paths
+    from repro.analysis.program import Program
+
     program = Program.load(paths)
     findings = lint_paths(program)
     if deep:
@@ -142,6 +163,15 @@ def run_lint(
     collector paused every node is still in the youngest generation, so
     a collection while the program was alive would traverse all of it.
     """
+    from repro.analysis.findings import (
+        render_github,
+        render_json,
+        render_sarif,
+        render_text,
+        summarize,
+    )
+    from repro.analysis.program import collector_paused
+
     stream = sys.stdout if stream is None else stream
     try:
         with collector_paused():

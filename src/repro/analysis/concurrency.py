@@ -60,6 +60,7 @@ Run with ``repro-tsv lint --threads`` (also folded into ``--deep``).
 from __future__ import annotations
 
 import ast
+from collections import deque
 from typing import (
     Dict,
     List,
@@ -112,6 +113,12 @@ _THREAD_METHODS = frozenset(
     {"start", "join", "is_alive", "daemon", "name", "ident"}
 )
 
+
+#: Childless nodes :meth:`_FunctionScanner.eval` never needs to visit.
+_INERT_LEAVES = (
+    ast.expr_context, ast.boolop, ast.operator, ast.unaryop, ast.cmpop,
+    ast.Constant,
+)
 
 _NO_LOCKS: frozenset = frozenset()
 
@@ -864,8 +871,26 @@ class _FunctionScanner(StatementWalker):
     # -- expressions -----------------------------------------------------------
 
     def eval(self, node: ast.expr) -> None:
-        """Record the calls and field reads of ``node`` under the lockset."""
-        for child in ast.walk(node):
+        """Record the calls and field reads of ``node`` under the lockset.
+
+        Visits ``node``'s subtree in :func:`ast.walk`'s breadth-first
+        order, but never queues the childless nodes no branch reads
+        (contexts, operators, constants).
+        """
+        todo = deque((node,))
+        while todo:
+            child = todo.popleft()
+            for name in child._fields:
+                value = getattr(child, name, None)
+                if isinstance(value, ast.AST):
+                    if not isinstance(value, _INERT_LEAVES):
+                        todo.append(value)
+                elif isinstance(value, list):
+                    todo.extend(
+                        item for item in value
+                        if isinstance(item, ast.AST)
+                        and not isinstance(item, _INERT_LEAVES)
+                    )
             if isinstance(child, ast.Call):
                 self.handle_call(child)
             elif isinstance(child, ast.Attribute) and isinstance(

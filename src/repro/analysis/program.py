@@ -22,12 +22,16 @@ from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 from typing import (
-    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
     Tuple, Union,
 )
 
 from repro.analysis.findings import Finding
-from repro.analysis.registry import SignatureRegistry, build_registry
+from repro.analysis.registry import (
+    SignatureRegistry,
+    build_registry,
+    static_signatures,
+)
 
 __all__ = [
     "FunctionInfo",
@@ -58,6 +62,7 @@ class ImportMap:
     def __init__(self, nodes: Iterable[ast.AST]) -> None:
         """Index the imports among ``nodes`` (e.g. ``ast.walk(tree)``)."""
         self.aliases: Dict[str, str] = {}
+        self._dotted: Dict[ast.Attribute, str] = {}
         for node in nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -72,12 +77,20 @@ class ImportMap:
                     self.aliases[local] = f"{node.module}.{alias.name}"
 
     def canonical(self, node: ast.AST) -> str:
-        """Dotted canonical name of an expression, or ``""`` if not one."""
+        """Dotted canonical name of an expression, or ``""`` if not one.
+
+        Every pass asks again for the same attribute chains, so each
+        ``Attribute`` node's name is derived once.
+        """
         if isinstance(node, ast.Name):
             return self.aliases.get(node.id, node.id)
         if isinstance(node, ast.Attribute):
-            base = self.canonical(node.value)
-            return f"{base}.{node.attr}" if base else ""
+            dotted = self._dotted.get(node)
+            if dotted is None:
+                base = self.canonical(node.value)
+                dotted = f"{base}.{node.attr}" if base else ""
+                self._dotted[node] = dotted
+            return dotted
         return ""
 
 
@@ -123,23 +136,6 @@ def _module_name_for(path: Path) -> str:
             break
         directory = parent
     return ".".join(parts) or path.stem
-
-
-def _static_signatures(tree: ast.Module) -> Optional[Mapping]:
-    """Extract a module's ``REPRO_SIGNATURES`` dict literal, if present."""
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == "REPRO_SIGNATURES"
-        ):
-            try:
-                value = ast.literal_eval(node.value)
-            except (ValueError, TypeError):
-                return None
-            return value if isinstance(value, dict) else None
-    return None
 
 
 def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
@@ -340,7 +336,7 @@ class Program:
         """The core modules' signatures plus every analyzed file's own."""
         extra = []
         for module in self.modules:
-            raw = _static_signatures(module.tree)
+            raw = static_signatures(module.tree)
             if raw is not None:
                 extra.append((module.name, raw))
         return build_registry(extra=extra)

@@ -1,8 +1,10 @@
 """Registry of shape/unit signatures seeding the deep-lint flow pass.
 
 Core modules annotate themselves with a module-level ``REPRO_SIGNATURES``
-dict (statically readable — the flow pass also picks these dicts out of
-any file it analyzes, so fixtures and new modules can declare their own).
+dict *literal*: the registry reads it from the module's source without
+importing the module (so the linter never loads numpy or scipy), and the
+flow pass picks these literals out of any file it analyzes, so fixtures
+and new modules can declare their own.
 Each entry maps a function, class, method or attribute name to a *spec*:
 
 ``"funcname": {"param": "<spec>", ..., "return": "<spec>"}``
@@ -65,8 +67,11 @@ build time, exactly like ``@guards``.
 
 from __future__ import annotations
 
-import importlib
+import ast
+import functools
+import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.shapes import Shape, parse_dim
@@ -80,7 +85,7 @@ __all__ = [
 ]
 
 #: Modules whose ``REPRO_SIGNATURES`` seed the registry. Kept explicit so
-#: the registry is importable without scanning the whole package.
+#: the registry is built without scanning the whole package.
 ANNOTATED_MODULES = (
     "repro.stats.switching",
     "repro.core.assignment",
@@ -113,6 +118,53 @@ ANNOTATED_MODULES = (
 )
 
 SpecDict = Mapping[str, str]
+
+#: The ``repro`` package directory: the annotated modules' sources are
+#: found under it without importing any package.
+_PACKAGE_DIR = Path(__file__).resolve().parent.parent
+
+#: A module-level ``REPRO_SIGNATURES`` assignment at the start of a line.
+_SIGNATURES_LINE = re.compile(r"^REPRO_SIGNATURES\b", re.MULTILINE)
+
+
+def static_signatures(tree: ast.Module) -> Optional[Mapping]:
+    """Extract a module's ``REPRO_SIGNATURES`` dict literal, if present."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id == "REPRO_SIGNATURES"
+        ):
+            try:
+                value = ast.literal_eval(node.value)
+            except (ValueError, TypeError):
+                return None
+            return value if isinstance(value, dict) else None
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def source_signatures(module_name: str) -> Optional[Mapping]:
+    """The ``REPRO_SIGNATURES`` literal of one ``repro`` module, read from
+    its file once per process (the dict is shared: do not mutate it).
+
+    Only the source from the assignment's line on is parsed; the whole
+    file is parsed when that tail is not valid Python on its own.
+    """
+    path = _PACKAGE_DIR.joinpath(*module_name.split(".")[1:])
+    try:
+        source = path.with_suffix(".py").read_text(encoding="utf-8")
+    except OSError:  # pragma: no cover - partial installs
+        return None
+    match = _SIGNATURES_LINE.search(source)
+    if match is None:
+        return None
+    try:
+        tree = ast.parse(source[match.start():])
+    except SyntaxError:
+        tree = ast.parse(source)
+    return static_signatures(tree)
 
 
 def _dotted_identifier(token: str) -> bool:
@@ -365,7 +417,7 @@ class SignatureRegistry:
 def build_registry(
     extra: Sequence[Tuple[str, Mapping]] = (),
 ) -> SignatureRegistry:
-    """Assemble the registry from the annotated core modules.
+    """Assemble the registry from the annotated core modules' sources.
 
     ``extra`` supplies ``(module_name, signatures_dict)`` pairs harvested
     statically from the files under analysis, so fixture files and modules
@@ -373,12 +425,8 @@ def build_registry(
     """
     registry = SignatureRegistry()
     for module_name in ANNOTATED_MODULES:
-        try:
-            module = importlib.import_module(module_name)
-        except Exception:  # pragma: no cover - partial installs
-            continue
-        raw = getattr(module, "REPRO_SIGNATURES", None)
-        if isinstance(raw, dict):
+        raw = source_signatures(module_name)
+        if raw is not None:
             registry.add_module_signatures(module_name, raw)
     for module_name, raw in extra:
         if isinstance(raw, dict):

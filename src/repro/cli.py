@@ -49,9 +49,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads only in the verbs that build arrays
+    import numpy as np
 
 
 def _add_geometry_arguments(parser: argparse.ArgumentParser) -> None:
@@ -78,6 +79,8 @@ def _geometry(args: argparse.Namespace):
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.tsv.extractor import CapacitanceExtractor
     from repro.tsv.matrices import total_capacitance
 
@@ -96,6 +99,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_depletion(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.tsv.depletion import DepletionModel
 
     model = DepletionModel(
@@ -117,6 +122,7 @@ def _load_stream(path: str, n_lines: int) -> np.ndarray:
     values are 0/1. Pickled arrays and ``.npz`` archives are rejected
     explicitly (a bit stream never needs Python object serialization).
     """
+    import numpy as np
 
     def fail(message: str) -> "SystemExit":
         print(f"error: --stream {path}: {message}", file=sys.stderr)
@@ -163,6 +169,8 @@ def _load_stream(path: str, n_lines: int) -> np.ndarray:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.core.pipeline import optimize_assignment
 
     geometry = _geometry(args)
@@ -530,6 +538,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_stream(args: argparse.Namespace) -> int:
     import time
+
+    import numpy as np
 
     from repro.serve import LinkClient
 

@@ -33,6 +33,7 @@ turn any divergence into a flagged determinism violation.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
@@ -352,9 +353,8 @@ class JobQueue:
 
         A running job whose lease heartbeat is older than
         ``lease_timeout_s`` (or unreadable) belongs to a dead or wedged
-        worker. The attempt counter is bumped *before* the commit rename,
-        so racing reclaimers can at worst over-count an attempt — they
-        cannot both requeue the job.
+        worker. Each silent claim is reclaimed by :meth:`_reclaim`, at
+        most once however many sweepers race for it.
         """
         reclaimed: List[str] = []
         now = self._clock()
@@ -365,6 +365,10 @@ class JobQueue:
                 if fingerprint in self._held:
                     continue  # our own live claim
             lease = self._read_json(self._lease_path(fingerprint))
+            try:
+                claimed = path.stat()
+            except OSError:
+                continue  # job moved on while we were looking
             if lease is not None:
                 beat = float(lease.get("heartbeat_at", 0.0))
             else:
@@ -373,22 +377,59 @@ class JobQueue:
                 # lease. Grant the claim rename's ctime as the last sign
                 # of life so a live worker has a full heartbeat interval
                 # to restore its lease before we declare it dead.
-                try:
-                    beat = path.stat().st_ctime
-                except OSError:
-                    continue  # job moved on while we were looking
+                beat = claimed.st_ctime
             if now - beat < lease_timeout_s:
                 continue
-            # Re-read the lease just before acting: the silence decision
-            # above may be stale — another sweeper can have reclaimed the
-            # job and a new owner re-claimed it (writing a fresh lease)
-            # while we deliberated. Stealing a *live* owner's job here
-            # would fork its execution; the re-check shrinks that window
-            # from the whole deliberation to one read-to-rename sliver
-            # (which the at-least-once contract still covers).
-            current = self._read_json(self._lease_path(fingerprint))
-            if current != lease:
-                continue
+            dst = self._reclaim(
+                fingerprint, lease, claimed.st_ctime_ns, lease_timeout_s
+            )
+            if dst is not None:
+                logger.warning(
+                    "reclaimed job %s from a silent worker (%s) -> %s",
+                    fingerprint[:12],
+                    (lease or {}).get("owner", "unknown lease"), dst,
+                )
+                reclaimed.append(fingerprint)
+        return reclaimed
+
+    def _reclaim(
+        self,
+        fingerprint: str,
+        lease: Optional[Dict[str, Any]],
+        ctime_ns: int,
+        lease_timeout_s: float,
+    ) -> Optional[str]:
+        """Requeue one claim judged silent; the state it landed in, or None.
+
+        The silence decision may be stale by now: another sweeper can
+        have reclaimed the job and a live worker claimed it again. So
+        sweepers take an exclusive ``flock`` on the running job file
+        (released if the sweeper dies), and the holder acts only if the
+        claim it judged is still there — the same lease and the same
+        claim rename (the file's ctime). A job is therefore reclaimed,
+        and its attempt counter bumped, once per silent claim, and a
+        fresh claim is never requeued under its new owner. The counter
+        is bumped *before* the commit rename, so a sweeper that dies
+        mid-reclaim can at worst over-count an attempt.
+        """
+        path = self._job_path(JobState.RUNNING, fingerprint)
+        try:
+            handle = open(path, "rb")
+        except OSError:
+            return None  # requeued or finished meanwhile
+        with handle:
+            try:
+                fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                return None  # another sweeper is reclaiming it
+            try:
+                same_claim = os.stat(path).st_ctime_ns == ctime_ns
+            except OSError:
+                same_claim = False
+            if not same_claim or (
+                self._read_json(self._lease_path(fingerprint)) != lease
+            ):
+                return None
             attempts = self.attempts(fingerprint) + 1
             self._write_meta(
                 fingerprint, attempts=attempts,
@@ -399,15 +440,12 @@ class JobQueue:
                 if attempts >= self.max_attempts
                 else JobState.PENDING
             )
-            if self._move(JobState.RUNNING, dst, fingerprint):
-                self._drop_lease(fingerprint)
-                logger.warning(
-                    "reclaimed job %s from a silent worker (%s) -> %s",
-                    fingerprint[:12],
-                    (lease or {}).get("owner", "unknown lease"), dst,
-                )
-                reclaimed.append(fingerprint)
-        return reclaimed
+            # Drop the silent lease first: once the job is pending, a new
+            # owner's lease may appear at the same path.
+            self._drop_lease(fingerprint)
+            if not self._move(JobState.RUNNING, dst, fingerprint):
+                return None
+            return dst
 
     # -- resubmission & inspection ---------------------------------------------
 

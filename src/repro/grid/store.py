@@ -151,7 +151,7 @@ class ResultStore:
             return connection
         self.path.parent.mkdir(parents=True, exist_ok=True)
         connection = sqlite3.connect(str(self.path), timeout=self.busy_timeout_s)
-        connection.execute("PRAGMA journal_mode=WAL")
+        self._enable_wal(connection)
         connection.execute(
             f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}"
         )
@@ -162,6 +162,24 @@ class ResultStore:
         connection.row_factory = sqlite3.Row
         self._local.connection = connection
         return connection
+
+    def _enable_wal(self, connection: sqlite3.Connection) -> None:
+        """Switch ``connection`` to WAL mode, waiting out racing openers.
+
+        When several processes open a new database at once, SQLite can
+        refuse the journal-mode switch with ``database is locked`` at
+        once, without calling the busy handler; a grid worker then died
+        before claiming anything.  Retry until the busy timeout.
+        """
+        deadline = time.monotonic() + self.busy_timeout_s
+        while True:
+            try:
+                connection.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+            time.sleep(0.01)
 
     def close(self) -> None:
         connection = getattr(self._local, "connection", None)

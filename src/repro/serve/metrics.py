@@ -368,15 +368,19 @@ def _fold_histograms(
     rest, so a histogram is a (high, low) matrix ``H`` and only the digit
     tables of the halves are needed: the diagonal blocks weight a half's
     digits by its marginal counts, the cross block is ``D_hi^T H D_lo``.
-    Everything is int64 arithmetic, so the fold is exact.
+    No code lies below ``(3**width - 1) // 2``, so ``H`` keeps only the
+    rows from that code's high half on, about half of them.  Everything
+    is int64 arithmetic, so the fold is exact.
     """
     low = width // 2
     high = width - low
-    ternary = np.zeros(3 ** width, dtype=np.int64)
-    ternary[len(transitions) - 1:] = transitions
-    ternary = ternary.reshape(3 ** high, 3 ** low)
+    offset = len(transitions) - 1
+    first = offset // 3 ** low
+    ternary = np.zeros((3 ** high - first) * 3 ** low, dtype=np.int64)
+    ternary[offset - first * 3 ** low:] = transitions
+    ternary = ternary.reshape(-1, 3 ** low)
     d_low = _digit_table(3, low) - 1
-    d_high = _digit_table(3, high) - 1
+    d_high = _digit_table(3, high)[first:] - 1
     gram = np.empty((width, width), dtype=np.int64)
     gram[:low, :low] = (d_low.T * ternary.sum(axis=0)) @ d_low
     gram[low:, low:] = (d_high.T * ternary.sum(axis=1)) @ d_high

@@ -1,5 +1,6 @@
 """Deep-lint flow pass: shape/unit lattices, fixtures, repo cleanliness."""
 
+import importlib
 import io
 import json
 import re
@@ -15,7 +16,13 @@ from repro.analysis.findings import (
     rule_catalog,
 )
 from repro.analysis.flow import DEEP_RULES, analyze_paths, analyze_source
-from repro.analysis.registry import build_registry, parse_spec
+from repro.analysis.registry import (
+    ANNOTATED_MODULES,
+    SignatureRegistry,
+    build_registry,
+    parse_spec,
+    source_signatures,
+)
 from repro.analysis.shapes import (
     ANY,
     broadcast_shapes,
@@ -199,6 +206,25 @@ def test_registry_knows_the_annotated_core():
     member = registry.member_function("LinearCapacitanceModel", "matrix")
     assert member is not None and member.ret[0].form == "spice"
 
+
+
+@pytest.mark.parametrize("module_name", ANNOTATED_MODULES)
+def test_source_signatures_equal_the_imported_dict(module_name):
+    literal = source_signatures(module_name)
+    imported = importlib.import_module(module_name).REPRO_SIGNATURES
+    assert isinstance(literal, dict) and literal
+    assert literal == imported
+    assert list(literal) == list(imported)
+
+
+def test_registry_from_source_equals_one_from_imports():
+    """The oracle: the registry the linter built by importing every
+    annotated module, before it read their sources instead."""
+    oracle = SignatureRegistry()
+    for module_name in ANNOTATED_MODULES:
+        module = importlib.import_module(module_name)
+        oracle.add_module_signatures(module_name, module.REPRO_SIGNATURES)
+    assert vars(build_registry()) == vars(oracle)
 
 # -- renderers -----------------------------------------------------------------
 

@@ -193,6 +193,48 @@ class TestLeaseExpiry:
         time.sleep(0.05)
         assert sweeper.reclaim_expired(lease_timeout_s=0.01) == [fingerprint]
 
+    @pytest.mark.parametrize("window", ["_reclaim", "_write_meta"])
+    def test_racing_sweepers_reclaim_a_silent_claim_once(
+        self, tmp_path, monkeypatch, window
+    ):
+        """A sweeper acts on a silence decision only while it still holds.
+
+        Two sweepers judge one dead claim silent. The other sweeper's
+        reclaim and a live worker's fresh claim are forced into the
+        second sweeper's window: between its decision and its commit
+        (``_reclaim``), or between its re-check and its commit rename
+        (inside the attempt-counter write). The job must be reclaimed
+        once, its counter bumped once, and a fresh claim left running
+        under its new owner.
+        """
+        clock = FakeClock()
+        dead = JobQueue(tmp_path, clock=clock)
+        _submit_all(dead, _jobs(n_points=1))
+        fingerprint = dead.claim("dead-worker").job.fingerprint
+        first = JobQueue(tmp_path, clock=clock)
+        second = JobQueue(tmp_path, clock=clock)
+        live = JobQueue(tmp_path, clock=clock)
+        clock.advance(0.05)
+        raced = {}
+        inner = getattr(second, window)
+
+        def interleaved(*args, **kwargs):
+            if not raced:
+                raced["swept"] = first.reclaim_expired(lease_timeout_s=0.01)
+                raced["claim"] = live.claim("live-worker")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(second, window, interleaved)
+        swept = second.reclaim_expired(lease_timeout_s=0.01)
+        assert raced["swept"] + swept == [fingerprint]
+        assert live.attempts(fingerprint) == 1
+        if raced["claim"] is not None:
+            assert live.counts()["running"] == 1
+            lease = live._read_json(live._lease_path(fingerprint))
+            assert lease["owner"] == "live-worker"
+        else:
+            assert live.counts()["pending"] == 1
+
     def test_exhausted_reclaims_park_in_failed(self, tmp_path):
         clock = FakeClock()
         queue = JobQueue(tmp_path, max_attempts=1, clock=clock)

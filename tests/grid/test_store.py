@@ -1,6 +1,7 @@
 """Result store: insert-or-verify, tamper detection, provenance."""
 
 import json
+import sqlite3
 import threading
 
 import pytest
@@ -112,3 +113,32 @@ class TestReading:
         store = ResultStore(store_path)
         assert store.count() == 1
         assert store.violations() == []
+
+
+class _RefusesWal(sqlite3.Connection):
+    """A connection whose first journal-mode switches are refused the way
+    SQLite refuses one racing another process's (no busy wait)."""
+
+    refusals = 0
+
+    def execute(self, sql, *args):
+        if sql.startswith("PRAGMA journal_mode") and _RefusesWal.refusals:
+            _RefusesWal.refusals -= 1
+            raise sqlite3.OperationalError("database is locked")
+        return super().execute(sql, *args)
+
+
+def test_open_waits_out_a_refused_wal_switch(tmp_path, monkeypatch):
+    """Three grid workers opening a new store at once made one of them
+    die before its first claim; the open now retries the switch."""
+    connect = sqlite3.connect
+    monkeypatch.setattr(_RefusesWal, "refusals", 2)
+    monkeypatch.setattr(
+        sqlite3, "connect",
+        lambda *args, **kwargs: connect(*args, factory=_RefusesWal, **kwargs),
+    )
+    store = _store(tmp_path)
+    assert _RefusesWal.refusals == 0
+    mode = store._connect().execute("PRAGMA journal_mode").fetchone()[0]
+    assert mode == "wal"
+    store.close()

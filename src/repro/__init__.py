@@ -24,7 +24,7 @@ low-power codes), :mod:`repro.circuit` (transient/energy validation),
 paper's figures).
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -59,15 +59,4 @@ _LAZY = {
     "TSVArrayGeometry": "repro.tsv.geometry",
 }
 
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -25,9 +25,10 @@ See ``docs/static_analysis.md`` for the full rule and contract catalogue.
 
 from __future__ import annotations
 
-import importlib
 import sys
 from typing import Optional, Sequence
+
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ALL_RULES",
@@ -76,18 +77,7 @@ _LAZY = {
     **dict.fromkeys(("Program", "collector_paused"), "repro.analysis.program"),
 }
 
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 
 #: Output formats ``run_lint`` understands (and the CLI exposes).

@@ -23,18 +23,7 @@ that flow:
     ablation.
 """
 
-from repro.circuit.ac import ACResult, ACSolver
-from repro.circuit.netlist import (
-    Capacitor,
-    CurrentSource,
-    Inductor,
-    Netlist,
-    Resistor,
-    VoltageSource,
-)
-from repro.circuit.transient import TransientResult, TransientSolver
-from repro.circuit.driver import DriverModel
-from repro.circuit.energy import EnergyModel
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ACResult",
@@ -50,3 +39,22 @@ __all__ = [
     "DriverModel",
     "EnergyModel",
 ]
+
+#: Where each public name is defined; imported on first access (PEP 562),
+#: so the energy model loads without the transient engine's SciPy.
+_LAZY = {
+    "ACResult": "repro.circuit.ac",
+    "ACSolver": "repro.circuit.ac",
+    "Capacitor": "repro.circuit.netlist",
+    "CurrentSource": "repro.circuit.netlist",
+    "Inductor": "repro.circuit.netlist",
+    "Netlist": "repro.circuit.netlist",
+    "Resistor": "repro.circuit.netlist",
+    "VoltageSource": "repro.circuit.netlist",
+    "TransientResult": "repro.circuit.transient",
+    "TransientSolver": "repro.circuit.transient",
+    "DriverModel": "repro.circuit.driver",
+    "EnergyModel": "repro.circuit.energy",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -19,16 +19,7 @@
     One-call user API tying streams, extraction and optimization together.
 """
 
-from repro.core.assignment import AssignmentConstraints, SignedPermutation
-from repro.core.fastpower import CompiledPowerModel
-from repro.core.power import PowerModel
-from repro.core.pipeline import (
-    AssignmentReport,
-    evaluate_assignment,
-    optimize_assignment,
-    random_baseline_power,
-)
-from repro.core.systematic import sawtooth_assignment, spiral_assignment
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AssignmentConstraints",
@@ -42,3 +33,20 @@ __all__ = [
     "sawtooth_assignment",
     "spiral_assignment",
 ]
+
+#: Where each public name is defined; imported on first access (PEP 562),
+#: so the power kernels load without the pipeline's searches and extractor.
+_LAZY = {
+    "AssignmentConstraints": "repro.core.assignment",
+    "SignedPermutation": "repro.core.assignment",
+    "PowerModel": "repro.core.power",
+    "CompiledPowerModel": "repro.core.fastpower",
+    "AssignmentReport": "repro.core.pipeline",
+    "evaluate_assignment": "repro.core.pipeline",
+    "optimize_assignment": "repro.core.pipeline",
+    "random_baseline_power": "repro.core.pipeline",
+    "sawtooth_assignment": "repro.core.systematic",
+    "spiral_assignment": "repro.core.systematic",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -458,7 +458,15 @@ class FleetServer(FrameServer):
 
     async def _wait_ready(self, handle: _WorkerHandle) -> None:
         deadline = Deadline(self.worker_boot_timeout_s)
-        while not handle.socket_path.exists():
+        channel = _WorkerChannel()
+        while True:
+            if handle.socket_path.exists():
+                try:
+                    await channel.open(str(handle.socket_path))
+                    break
+                except ConnectionRefusedError:
+                    # bind() makes the file a moment before listen().
+                    pass
             process = handle.process
             if process is not None and process.poll() is not None:
                 raise RuntimeError(
@@ -472,8 +480,6 @@ class FleetServer(FrameServer):
                     f"{self.worker_boot_timeout_s:.1f}s"
                 )
             await asyncio.sleep(0.01)
-        channel = _WorkerChannel()
-        await channel.open(str(handle.socket_path))
         channel.on_failure = lambda: self._on_worker_failure(handle)
         handle.channel = channel
         await channel.call({"op": "ping"}, timeout=self.worker_boot_timeout_s)

@@ -23,10 +23,7 @@ This subpackage replaces the commercial tooling the paper relied on
     validation.
 """
 
-from repro.tsv.geometry import PositionClass, TSVArrayGeometry
-from repro.tsv.depletion import DepletionModel
-from repro.tsv.extractor import CapacitanceExtractor
-from repro.tsv.capmodel import LinearCapacitanceModel
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PositionClass",
@@ -35,3 +32,15 @@ __all__ = [
     "CapacitanceExtractor",
     "LinearCapacitanceModel",
 ]
+
+#: Where each public name is defined; imported on first access (PEP 562),
+#: so importing one module (say the geometry) loads no other.
+_LAZY = {
+    "PositionClass": "repro.tsv.geometry",
+    "TSVArrayGeometry": "repro.tsv.geometry",
+    "DepletionModel": "repro.tsv.depletion",
+    "CapacitanceExtractor": "repro.tsv.extractor",
+    "LinearCapacitanceModel": "repro.tsv.capmodel",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

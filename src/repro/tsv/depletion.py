@@ -13,7 +13,8 @@ Two solvers are provided:
 
 * :meth:`DepletionModel.width` — the cylindrical full-depletion
   approximation: a closed potential-balance equation solved with Brent's
-  method. Fast; used by default everywhere.
+  method (:func:`_brentq`, an exact port of SciPy's, so serving processes
+  that price energy never import SciPy). Fast; used by default everywhere.
 * :class:`ExactPoissonSolver` — a 1-D radial finite-difference Newton solver
   of the nonlinear Poisson equation with Boltzmann carrier statistics
   (the literal "exact Poisson"). Used in tests to validate the
@@ -27,16 +28,97 @@ and a *pinned* mode that clamps the surface potential at ``2 * phi_F``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from repro import constants
 
 Mode = Literal["deep", "pinned"]
+
+#: ``scipy.optimize.brentq``'s default relative tolerance, ``4 * eps``.
+_RTOL = 4 * sys.float_info.epsilon
+
+
+def _brentq(f, xa: float, xb: float, xtol: float,
+            maxiter: int = 100) -> float:
+    """Root of ``f`` in the sign-changing bracket ``[xa, xb]`` (Brent, 1973).
+
+    A line-for-line port of SciPy's ``brentq.c`` at its default
+    ``rtol``, wrapped as ``scipy.optimize.brentq`` wraps it: the same
+    iterates, the same result to the bit, and the same errors —
+    :class:`ValueError` for a bracket whose ends have equal signs or for
+    a NaN from ``f``, :class:`RuntimeError` after ``maxiter`` iterations
+    without convergence. ``tests/tsv/test_depletion.py`` holds it to
+    SciPy with ``==``.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # Both are non-zero and not NaN here, so ``< 0`` is C's ``signbit``.
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur:f}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +231,7 @@ class DepletionModel:
 
         if balance(hi) < 0.0:  # pragma: no cover - absurd voltages only
             raise ValueError(f"depletion width search bracket too small at {voltage} V")
-        r_dep = brentq(balance, lo, hi, xtol=1e-12)
+        r_dep = _brentq(balance, lo, hi, xtol=1e-12)
 
         if self.mode == "pinned":
             # In thermal equilibrium the inversion layer pins the surface
@@ -158,7 +240,7 @@ class DepletionModel:
             # depletion region stops growing.
             psi_max = 2.0 * self.fermi_potential
             if self._surface_potential(r_dep) > psi_max:
-                r_dep = brentq(
+                r_dep = _brentq(
                     lambda r: self._surface_potential(r) - psi_max,
                     lo, hi, xtol=1e-12,
                 )
@@ -281,6 +363,8 @@ class ExactPoissonSolver:
         h = self.step
         n = len(r)
         v_left = voltage - m.v_flatband
+
+        from scipy.linalg import solve_banded
 
         phi = np.linspace(v_left, 0.0, n)
 

@@ -1,22 +1,35 @@
-"""The linter starts without the numeric stack.
+"""Entry points import only what they run.
 
-Every guard runs in a fresh interpreter: the test process itself has
-numpy loaded long before these tests run.
+The linter starts without the numeric stack, and every serving process
+(the ``repro serve`` child, the fleet front and worker, a link session)
+starts and serves without SciPy. Every guard runs in a fresh
+interpreter: the test process itself has numpy and scipy loaded long
+before these tests run.
 """
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 import repro.analysis
+import repro.circuit
+import repro.core
+import repro.tsv
+from repro.serve.client import LinkClient
 
 SRC = Path(repro.__file__).resolve().parents[1]
 SMALL_FILE = SRC / "repro" / "constants.py"
 HEAVY = ("numpy", "scipy")
+ROOTS = (repro, repro.analysis, repro.tsv, repro.circuit, repro.core)
+LINK = {"width": 8, "codecs": ["businvert"],
+        "geometry": {"rows": 3, "cols": 3, "pitch": 4.0e-6,
+                     "radius": 1.0e-6}}
 
 
 def _python(*args):
@@ -89,22 +102,103 @@ def test_runtime_contracts_load_no_linter():
 
 def test_package_roots_export_their_names_lazily():
     loaded = _loaded(
-        "import repro, repro.analysis\n"
-        "assert not [m for m in __import__('sys').modules\n"
-        "            if m.startswith(('repro.core', 'repro.tsv'))]\n"
-        "for package in (repro, repro.analysis):\n"
+        "import sys\n"
+        "import repro, repro.analysis, repro.circuit, repro.core, repro.tsv\n"
+        "assert not [m for m in sys.modules if m.count('.') > 1\n"
+        "            and m.startswith(('repro.core.', 'repro.tsv.',\n"
+        "                              'repro.circuit.'))]\n"
+        "for package in (repro, repro.analysis, repro.tsv, repro.core):\n"
         "    for name in package.__all__:\n"
         "        assert getattr(package, name) is not None, name\n"
         "        assert name in dir(package), name\n"
         "from repro import optimize_assignment\n"
         "from repro.analysis import Program, ContractViolation\n"
         "from repro.core.pipeline import optimize_assignment as direct\n"
-        "assert optimize_assignment is direct"
+        "from repro.tsv import DepletionModel\n"
+        "from repro.tsv.depletion import DepletionModel as model\n"
+        "assert optimize_assignment is direct and DepletionModel is model\n"
+        "from repro.circuit import EnergyModel\n"
     )
-    assert {"numpy", "scipy"} <= loaded
+    # Every name of the four roots resolves, and the energy model loads,
+    # yet nothing imports SciPy.
+    assert "numpy" in loaded
+    assert "scipy" not in loaded
 
 
-@pytest.mark.parametrize("package", [repro, repro.analysis])
+def test_circuit_root_resolves_every_name():
+    loaded = _loaded(
+        "import repro.circuit\n"
+        "for name in repro.circuit.__all__:\n"
+        "    assert getattr(repro.circuit, name) is not None, name\n"
+        "    assert name in dir(repro.circuit), name\n"
+        "from repro.circuit.transient import TransientSolver\n"
+        "assert repro.circuit.TransientSolver is TransientSolver"
+    )
+    # No SciPy guard here: the transient engine needs it.
+    assert "repro" in loaded
+
+
+@pytest.mark.parametrize("package", ROOTS)
 def test_unknown_names_raise_attribute_error(package):
     with pytest.raises(AttributeError, match="no_such_name"):
         package.no_such_name
+
+
+def test_serving_modules_load_no_scipy():
+    loaded = _loaded("import repro.serve.worker, repro.serve.fleet")
+    assert "repro" in loaded
+    assert "scipy" not in loaded
+
+
+def test_link_session_round_trip_loads_no_scipy():
+    loaded = _loaded(
+        "import numpy as np\n"
+        "from repro.serve.session import LinkConfig, LinkSession\n"
+        f"session = LinkSession(LinkConfig.from_dict({LINK!r}))\n"
+        "words = np.arange(4096, dtype=np.int64) % 256\n"
+        "assert len(session.encode(words)) == len(words)\n"
+        "report = session.energy_report()\n"
+        "assert report['coded']['n_samples'] == len(words), report"
+    )
+    assert "numpy" in loaded
+    assert "scipy" not in loaded
+
+
+def test_serve_child_round_trip_loads_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    # An ignored SIGINT would be inherited and the child could not be
+    # interrupted; a handled one resets to the default on exec.
+    inherited = signal.getsignal(signal.SIGINT)
+    if inherited is signal.SIG_IGN:
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+    log_path = tmp_path / "importtime.log"
+    with open(log_path, "wb") as log:
+        try:
+            process = subprocess.Popen(
+                [sys.executable, "-X", "importtime", "-m", "repro", "serve"],
+                env=env, cwd=tmp_path, stdout=subprocess.PIPE, stderr=log,
+            )
+        finally:
+            signal.signal(signal.SIGINT, inherited)
+        try:
+            line = process.stdout.readline().decode()
+            assert line.startswith("serving on "), line
+            words = np.arange(20000, dtype=np.int64) % 256
+            with LinkClient.connect(line.split()[-1], timeout=30) as client:
+                client.create_link("startup", LINK)
+                assert len(client.encode("startup", words)) == len(words)
+                stats = client.stats("startup")
+            assert stats["energy"]["coded"]["n_samples"] == len(words)
+            process.send_signal(signal.SIGINT)
+            process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+    assert process.returncode == 130
+    imported = _imported(log_path.read_text(errors="replace"))
+    assert "repro.serve.metrics" in imported
+    assert not {name for name in imported if name.split(".")[0] == "scipy"}

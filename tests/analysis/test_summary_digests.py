@@ -111,11 +111,21 @@ def programs(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def golden(request):
+    """``digest_for(key, digest)``: the recorded digest of ``key``, or
+    ``None``; under ``--update-golden`` it first records ``digest``, and
+    the file is rewritten after the module's tests."""
     recorded = {}
     if GOLDEN.is_file():
         recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    yield recorded
-    if request.config.getoption("--update-golden"):
+    update = request.config.getoption("--update-golden")
+
+    def digest_for(key, digest):
+        if update:
+            recorded[key] = digest
+        return recorded.get(key)
+
+    yield digest_for
+    if update:
         GOLDEN.write_text(
             json.dumps(recorded, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
@@ -124,14 +134,12 @@ def golden(request):
 
 @pytest.mark.parametrize("name", PASSES)
 @pytest.mark.parametrize("corpus", ["src", "fixtures", "frozen"])
-def test_pass_results_match_their_digest(programs, golden, request, corpus,
-                                         name):
+def test_pass_results_match_their_digest(programs, golden, corpus, name):
     program, root = programs[corpus]
     text = render(program, name, root)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     key = f"{corpus}/{name}"
-    if request.config.getoption("--update-golden"):
-        golden[key] = digest
-    assert key in golden, f"missing digest {key}; run --update-golden"
+    expected = golden(key, digest)
+    assert expected is not None, f"missing digest {key}; run --update-golden"
     assert text.count("\n") > 10
-    assert digest == golden[key]
+    assert digest == expected

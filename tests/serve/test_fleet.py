@@ -10,6 +10,7 @@ observable trace of the crash.
 import asyncio
 import collections
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.serve import FleetServer, LinkClient, OverloadedError, worker_for
+from repro.serve.fleet import _WorkerHandle
 from repro.serve.server import BackgroundServer
 from repro.serve.session import LinkConfig
 
@@ -339,6 +341,20 @@ class TestOrphanGuard:
         for handle in server.workers:
             assert handle.process is not None
             assert handle.process.poll() is not None
+
+    def test_socket_bound_but_not_listening_is_waited_for(self, tmp_path):
+        # A worker's socket file appears at bind(), a moment before it
+        # listens; a connect in between is refused, and the front must
+        # keep waiting (here until its boot deadline) instead of failing
+        # the boot on the refusal.
+        path = tmp_path / "bound.sock"
+        server = FleetServer(n_workers=1, runtime_dir=str(tmp_path / "rt"),
+                             worker_boot_timeout_s=0.2)
+        handle = _WorkerHandle(0, path)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as bound:
+            bound.bind(str(path))
+            with pytest.raises(RuntimeError, match="did not open"):
+                asyncio.run(server._wait_ready(handle))
 
     def test_worker_exits_when_front_disappears(self, tmp_path):
         # An intermediate process plays the fleet front: it spawns the

@@ -1,11 +1,15 @@
 """Tests for the cylindrical MOS depletion model."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from repro import constants
+from repro.tsv import depletion
 from repro.tsv.depletion import DepletionModel, ExactPoissonSolver
 
 
@@ -69,6 +73,61 @@ class TestFullDepletionWidth:
         # Surface potential is clamped; only the oxide drop grows, and it
         # cannot add depletion charge without surface potential growth.
         assert (w10 - w5) / w5 < 0.35
+
+
+class TestBrentPort:
+    """``_brentq`` returns ``scipy.optimize.brentq``'s root to the bit."""
+
+    @pytest.mark.parametrize("mode", ["deep", "pinned"])
+    @pytest.mark.parametrize("radius", [0.5e-6, 1e-6, 2e-6, 5e-6])
+    def test_every_width_solve_equals_scipy(self, monkeypatch, radius, mode):
+        port = depletion._brentq
+        solves = []
+
+        def both(f, lo, hi, xtol):
+            root = port(f, lo, hi, xtol)
+            assert root == brentq(f, lo, hi, xtol=xtol)
+            solves[-1] += 1
+            return root
+
+        monkeypatch.setattr(depletion, "_brentq", both)
+        for oxide, doping, temperature in itertools.product(
+            (0.05e-6, 0.2e-6, 0.5e-6), (1e20, 1e22), (250.0, 400.0),
+        ):
+            model = DepletionModel(radius=radius, oxide_thickness=oxide,
+                                   doping=doping, mode=mode,
+                                   temperature=temperature)
+            for voltage in np.linspace(model.v_flatband - 0.2, 5.0, 41):
+                solves.append(0)
+                model.width(float(voltage))
+        # Below flat band there is no solve; pinned mode re-solves for
+        # the clamped surface potential once inversion sets in.
+        assert 0 in solves and 1 in solves
+        assert (2 in solves) == (mode == "pinned")
+
+    @pytest.mark.parametrize("f, a, b, xtol", [
+        (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, 2e-12),
+        (lambda x: math.exp(x) - 1e3, -5.0, 20.0, 1e-12),
+        (lambda x: math.sin(x) - 0.3, -1.0, 2.5, 1e-6),
+        (lambda x: math.tanh(50 * (x - 0.123)), 0.0, 1.0, 2e-12),
+        (lambda x: x - 0.25, 0.0, 1.0, 2e-12),
+        (lambda x: 1.0 - x, 1.0, 2.0, 2e-12),
+    ])
+    def test_equals_scipy_on_plain_functions(self, f, a, b, xtol):
+        assert depletion._brentq(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+
+    @pytest.mark.parametrize("f, a, b, maxiter", [
+        (lambda x: x * x + 1.0, -1.0, 1.0, 100),
+        (lambda x: math.nan if 0.3 < x < 0.7 else x - 0.5, 0.0, 1.0, 100),
+        (lambda x: math.exp(x) - 2.0, -10.0, 10.0, 2),
+    ], ids=["equal-signs", "nan", "no-convergence"])
+    def test_errors_are_scipys(self, f, a, b, maxiter):
+        with pytest.raises(Exception) as theirs:
+            brentq(f, a, b, xtol=1e-12, maxiter=maxiter)
+        with pytest.raises(Exception) as ours:
+            depletion._brentq(f, a, b, 1e-12, maxiter=maxiter)
+        assert type(ours.value) is type(theirs.value)
+        assert type(ours.value) in (ValueError, RuntimeError)
 
 
 class TestCapacitances:

@@ -1,12 +1,11 @@
 """Benchmark the repro.serve data path over a real socket.
 
-For each micro-batch window setting, the script boots a fresh
-``BackgroundServer``, streams a seeded word stream through a
-representative codec chain with a pipelined ``LinkClient``, and records
-the sustained encode/decode throughput (words/s) plus the server-side
-per-request latency percentiles (p50/p95/p99).  Throughput is the best
-over ``--repeats`` runs; a new server per run keeps the latency
-histogram per-setting.
+The script boots a fresh ``BackgroundServer``, streams a seeded word
+stream through a representative codec chain with a pipelined
+``LinkClient``, and records the sustained encode/decode throughput
+(words/s) plus the server-side per-request latency percentiles
+(p50/p95/p99).  Throughput is the best over ``--repeats`` runs; a new
+server per run keeps the latency histogram per-run.
 
 Each run warms the server up through a scratch link first (batch loop,
 serializer, kernel dispatch caches), so the timed region measures steady
@@ -18,17 +17,17 @@ the server's online energy account disagrees with an offline
 *correctness* without gating on machine speed.
 
 ``--fleet N`` additionally boots a ``FleetServer`` with N worker
-processes per setting and records the same sweep through the fleet
-front.  The routing/journaling hop costs something; the gate is that
+processes and records the same run through the fleet front.  The routing/journaling hop costs something; the gate is that
 the fleet's best encode throughput stays within ``--min-fleet-ratio``
 (default 0.8) of the single-engine best — regressions in the forwarding
 path fail the benchmark even on fast machines.
 
 ``--min-encode-speedup R`` fails the benchmark when the single
-engine's encode throughput at the smallest batch window falls below
-``R`` times the same figure in the frozen seed report
-``benchmarks/baselines/BENCH_serve.json`` (the per-word serving stack
-the batch codec kernels replaced).
+engine's encode throughput falls below ``R`` times the same figure in
+the frozen seed report ``benchmarks/baselines/BENCH_serve.json`` (the
+per-word serving stack the batch codec kernels replaced), read from its
+``window_ms == 0`` row: that report swept the batch window the engine
+no longer has.
 
 Run:  PYTHONPATH=src python benchmarks/bench_serve.py [--quick]
 Writes ``benchmarks/BENCH_serve.json`` (gitignored).
@@ -47,7 +46,6 @@ from repro.datagen.util import words_to_bits
 from repro.experiments.common import cap_model_for
 from repro.serve import (
     BackgroundServer,
-    BatchPolicy,
     LinkClient,
     LinkServer,
     build_chain,
@@ -61,10 +59,6 @@ WIDTH = 8
 GEOMETRY_SPEC = {"rows": 3, "cols": 3, "pitch": 4.0e-6, "radius": 1.0e-6}
 CODECS = [{"kind": "businvert"}]
 
-#: Batch windows swept (seconds).  0.0 drains what is queued and runs it
-#: at once; the longer windows trade latency for larger coalesced batches.
-WINDOWS_S = (0.0, 0.5e-3, 2.0e-3, 5.0e-3)
-
 
 def link_config():
     return {
@@ -74,21 +68,16 @@ def link_config():
     }
 
 
-def run_once(window_s, words, chunk_words, in_flight, n_workers=0):
+def run_once(words, chunk_words, in_flight, n_workers=0):
     """One server boot + encode/decode sweep.  Returns a result row."""
-    policy = BatchPolicy(window_s=window_s)
     if n_workers:
         from repro.serve import FleetServer
 
         harness = BackgroundServer(
-            server_factory=lambda: FleetServer(
-                n_workers=n_workers, policy=policy
-            )
+            server_factory=lambda: FleetServer(n_workers=n_workers)
         )
     else:
-        harness = BackgroundServer(
-            server_factory=lambda: LinkServer(policy=policy)
-        )
+        harness = BackgroundServer(server_factory=LinkServer)
     with harness as server:
         with LinkClient.connect(server.address) as client:
             client.create_link("bench", link_config())
@@ -172,17 +161,15 @@ def offline_power(words, coded):
     ).power()
 
 
-def bench_window(window_s, words, repeats, chunk_words, in_flight,
-                 n_workers=0):
-    """Best-of-repeats throughput for one batch-window setting."""
+def bench_best(words, repeats, chunk_words, in_flight, n_workers=0):
+    """Best-of-repeats throughput of one server kind."""
     best = None
     for _ in range(repeats):
-        row = run_once(window_s, words, chunk_words, in_flight, n_workers)
+        row = run_once(words, chunk_words, in_flight, n_workers)
         if best is None or row["encode_words_per_s"] > \
                 best["encode_words_per_s"]:
             best = row
     coded = best.pop("coded")
-    best["window_ms"] = window_s * 1e3
     best["n_words"] = len(words)
     best["chunk_words"] = chunk_words
 
@@ -197,12 +184,15 @@ def bench_window(window_s, words, repeats, chunk_words, in_flight,
 
 def check_encode_floor(report, baseline, min_speedup):
     """``report``'s encode speedup over ``baseline`` and whether it
-    reaches ``min_speedup``: single-engine encode words/s at each
-    report's smallest batch window."""
+    reaches ``min_speedup``: single-engine encode words/s of each report,
+    from the frozen baseline its ``window_ms == 0`` row."""
 
     def rate(bench):
-        rows = [row for row in bench["results"] if "fleet_workers" not in row]
-        return min(rows, key=lambda row: row["window_ms"])["encode_words_per_s"]
+        (row,) = [
+            row for row in bench["results"]
+            if "fleet_workers" not in row and row.get("window_ms", 0.0) == 0.0
+        ]
+        return row["encode_words_per_s"]
 
     ratio = rate(report) / rate(baseline)
     return ratio, ratio >= min_speedup
@@ -215,12 +205,12 @@ def main(argv=None) -> int:
         help="small stream and single repetition (CI smoke mode)",
     )
     parser.add_argument("--repeats", type=int, default=None,
-                        help="server boots per setting (best is reported)")
+                        help="server boots per server kind (best is reported)")
     parser.add_argument("--words", type=int, default=None,
                         help="stream length per run")
     parser.add_argument(
         "--fleet", type=int, default=0, metavar="N",
-        help="also sweep a FleetServer with N worker processes and "
+        help="also run a FleetServer with N worker processes and "
              "gate its throughput against the single-engine runs",
     )
     parser.add_argument(
@@ -244,11 +234,9 @@ def main(argv=None) -> int:
     if args.quick:
         n_words = args.words or 50_000
         repeats = args.repeats or 1
-        windows = (0.0, 2.0e-3)
     else:
         n_words = args.words or 500_000
         repeats = args.repeats or 3
-        windows = WINDOWS_S
 
     words = np.random.default_rng(SEED).integers(0, 1 << WIDTH, n_words)
 
@@ -282,35 +270,24 @@ def main(argv=None) -> int:
             f"energy_exact={row['energy_exact']}"
         )
 
-    ok = True
-    best_single = 0.0
-    best_fleet = 0.0
-    for window_s in windows:
-        print(f"# window={window_s * 1e3:.1f} ms ...", flush=True)
-        row = bench_window(
-            window_s, words, repeats, chunk_words=4096, in_flight=32
-        )
-        report["results"].append(row)
-        ok = ok and row["round_trip_exact"] and row["energy_exact"]
-        best_single = max(best_single, row["encode_words_per_s"])
-        show(row)
-        if args.fleet:
-            fleet_row = bench_window(
-                window_s, words, repeats, chunk_words=4096, in_flight=32,
-                n_workers=args.fleet,
-            )
-            fleet_row["fleet_workers"] = args.fleet
-            report["results"].append(fleet_row)
-            ok = (ok and fleet_row["round_trip_exact"]
-                  and fleet_row["energy_exact"])
-            best_fleet = max(best_fleet, fleet_row["encode_words_per_s"])
-            show(fleet_row, label=f"fleet-{args.fleet}")
+    row = bench_best(words, repeats, chunk_words=4096, in_flight=32)
+    report["results"].append(row)
+    ok = row["round_trip_exact"] and row["energy_exact"]
+    show(row)
 
     if args.fleet:
+        fleet_row = bench_best(
+            words, repeats, chunk_words=4096, in_flight=32,
+            n_workers=args.fleet,
+        )
+        fleet_row["fleet_workers"] = args.fleet
+        report["results"].append(fleet_row)
+        ok = ok and fleet_row["round_trip_exact"] and fleet_row["energy_exact"]
+        show(fleet_row, label=f"fleet-{args.fleet}")
         # Gate on the best-vs-best ratio: the fleet's forwarding and
         # journaling hop must stay within the configured fraction of
         # the single-engine throughput.
-        ratio = best_fleet / best_single if best_single else 0.0
+        ratio = fleet_row["encode_words_per_s"] / row["encode_words_per_s"]
         report["fleet_encode_ratio"] = ratio
         fleet_ok = ratio >= args.min_fleet_ratio
         report["fleet_ratio_ok"] = fleet_ok

@@ -472,14 +472,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.serve import BatchPolicy, LinkServer
-
-    policy = BatchPolicy(
-        window_s=args.window_ms * 1e-3,
-        max_batch_words=args.max_batch_words,
-        max_batch_requests=args.max_batch_requests,
-        queue_limit=args.queue_limit,
-    )
+    from repro.serve import LinkServer
 
     async def run() -> int:
         # SIGINT cancels this task, so the server closes from its own
@@ -516,12 +509,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
             server = FleetServer(
                 n_workers=args.workers,
-                policy=policy,
                 runtime_dir=args.runtime_dir,
                 snapshot_every=args.snapshot_every,
             )
         else:
-            server = LinkServer(policy=policy, max_workers=args.batch_threads)
+            server = LinkServer()
         await server.start(host=args.host, port=args.port, path=args.unix)
         address = server.address
         if isinstance(address, tuple):
@@ -777,18 +769,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP port (0 = ephemeral, printed at start)")
     p_serve.add_argument("--unix", default=None, metavar="PATH",
                          help="listen on a unix socket instead of TCP")
-    p_serve.add_argument("--window-ms", type=float, default=0.0,
-                         help="how long a batch waits for more requests "
-                              "after draining the queue [ms]")
-    p_serve.add_argument("--max-batch-words", type=int, default=65536)
-    p_serve.add_argument("--max-batch-requests", type=int, default=128)
-    p_serve.add_argument("--queue-limit", type=int, default=256,
-                         help="per-link queue bound (full queue sheds)")
     p_serve.add_argument("--workers", type=int, default=None, metavar="N",
                          help="fleet mode: shard links across N worker "
                               "processes with exact codec-state failover")
-    p_serve.add_argument("--batch-threads", type=int, default=None,
-                         help="batch executor threads (single-engine mode)")
     p_serve.add_argument("--runtime-dir", default=None, metavar="DIR",
                          help="fleet worker sockets + snapshot checkpoints "
                               "(default: private temp dir)")

@@ -16,7 +16,7 @@ them into a serving subsystem with inference-stack bones:
     ``decode(encode(x)) == x``, plus online energy accounting.
 :mod:`repro.serve.engine`
     :class:`ServeEngine` — asyncio micro-batching engine: coalesces queued
-    requests into NumPy batches under a window/max-size policy, runs them
+    requests into size-capped NumPy batches without waiting, runs them
     on a worker pool, applies backpressure via a bounded queue with
     explicit load shedding and per-request deadlines.
 :mod:`repro.serve.protocol` / :mod:`repro.serve.server` /
@@ -55,7 +55,6 @@ from repro.serve.codecs import (
     parse_codec_spec,
 )
 from repro.serve.engine import (
-    BatchPolicy,
     DeadlineExceededError,
     EngineClosedError,
     OverloadedError,
@@ -85,7 +84,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "BackgroundServer",
-    "BatchPolicy",
     "BusInvertCodec",
     "CacCodec",
     "CodecChain",

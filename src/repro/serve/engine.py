@@ -11,9 +11,10 @@ bridges the two with the standard inference-serving shape:
   latency), and one worker per link keeps the stateful codec history a
   totally ordered stream;
 * the worker **coalesces** the same-direction requests queued while the
-  last batch ran into one NumPy batch under a :class:`BatchPolicy`
-  (word and request caps, optional window), then runs the batch on a
-  shared thread pool so the event loop never blocks on NumPy;
+  last batch ran into one NumPy batch (up to :data:`MAX_BATCH_WORDS`
+  words or :data:`MAX_BATCH_REQUESTS` requests, never waiting for
+  more), then runs the batch on a shared thread pool so the event loop
+  never blocks on NumPy;
 * every request may carry a **deadline** (a
   :class:`repro.runtime.supervision.Deadline`); requests that expire
   while queued are dropped *before* touching the codec — a dropped
@@ -30,7 +31,6 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -62,45 +62,12 @@ class EngineClosedError(ServeEngineError):
     """The engine shut down before the request could run."""
 
 
-@dataclass(frozen=True)
-class BatchPolicy:
-    """Knobs of the micro-batching loop.
-
-    Attributes
-    ----------
-    window_s:
-        How long the worker waits for more requests after draining the
-        queue into a batch. ``0`` runs each batch at once; requests that
-        arrive while it runs form the next batch.
-    max_batch_words:
-        Close the batch once it holds at least this many words.
-    max_batch_requests:
-        Close the batch once it holds this many requests.
-    queue_limit:
-        Bound of the per-link request queue; a full queue sheds.
-    """
-
-    window_s: float = 0.0
-    max_batch_words: int = 65536
-    max_batch_requests: int = 128
-    queue_limit: int = 256
-
-    def __post_init__(self) -> None:
-        if self.window_s < 0.0:
-            raise ValueError(f"window_s must be >= 0, got {self.window_s}")
-        if self.max_batch_words < 1:
-            raise ValueError(
-                f"max_batch_words must be >= 1, got {self.max_batch_words}"
-            )
-        if self.max_batch_requests < 1:
-            raise ValueError(
-                f"max_batch_requests must be >= 1, "
-                f"got {self.max_batch_requests}"
-            )
-        if self.queue_limit < 1:
-            raise ValueError(
-                f"queue_limit must be >= 1, got {self.queue_limit}"
-            )
+#: Close a batch once it holds at least this many words.
+MAX_BATCH_WORDS = 65536
+#: Close a batch once it holds this many requests.
+MAX_BATCH_REQUESTS = 128
+#: Bound of each link's request queue; a full queue sheds.
+QUEUE_LIMIT = 256
 
 
 class _Request:
@@ -127,12 +94,10 @@ class _Request:
 class _Link:
     """Per-link serving state: session, queue, worker, metrics."""
 
-    def __init__(
-        self, link_id: str, session: LinkSession, queue_limit: int
-    ) -> None:
+    def __init__(self, link_id: str, session: LinkSession) -> None:
         self.link_id = link_id
         self.session = session
-        self.queue: "asyncio.Queue[_Request]" = asyncio.Queue(queue_limit)
+        self.queue: "asyncio.Queue[_Request]" = asyncio.Queue(QUEUE_LIMIT)
         self.metrics = LinkMetrics()
         self.worker: Optional["asyncio.Task[None]"] = None
         self.carry: Optional[_Request] = None
@@ -149,20 +114,12 @@ class ServeEngine:
     :class:`EngineClosedError`.
     """
 
-    def __init__(
-        self,
-        policy: Optional[BatchPolicy] = None,
-        max_workers: Optional[int] = None,
-        control: Optional[RunControl] = None,
-    ) -> None:
-        self.policy = policy or BatchPolicy()
+    def __init__(self, control: Optional[RunControl] = None) -> None:
         self.control = control or RunControl()
         self._links: Dict[str, _Link] = {}
-        if max_workers is None:
-            # One batch thread per core this process may run on, plus one.
-            max_workers = 1 + usable_cores()
+        # One batch thread per core this process may run on, plus one.
         self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-serve"
+            max_workers=1 + usable_cores(), thread_name_prefix="repro-serve"
         )
         self._closed = False
 
@@ -178,7 +135,7 @@ class ServeEngine:
             raise EngineClosedError("engine is closed")
         if link_id in self._links:
             raise ValueError(f"link {link_id!r} already exists")
-        link = _Link(link_id, session, self.policy.queue_limit)
+        link = _Link(link_id, session)
         link.worker = asyncio.get_running_loop().create_task(
             self._work(link)
         )
@@ -272,7 +229,7 @@ class ServeEngine:
             link.metrics.note_shed()
             raise OverloadedError(
                 f"link {link_id!r} queue full "
-                f"({self.policy.queue_limit} requests)"
+                f"({link.queue.maxsize} requests)"
             ) from None
         link.metrics.note_submitted(link.queue.qsize())
         return future
@@ -305,8 +262,7 @@ class ServeEngine:
         return True
 
     async def _fill_batch(self, link: _Link) -> List[_Request]:
-        """Pull one batch: first request (or carry), the queue, the window."""
-        policy = self.policy
+        """Pull one batch: the head request (or carry), then what is queued."""
         batch: List[_Request] = []
         # Mutated in place, so the link always exposes the requests the
         # worker holds; _stop_link fails them if we are cancelled here
@@ -321,22 +277,11 @@ class ServeEngine:
             if self._take(link, head):
                 batch.append(head)
                 n_words = len(head.words)
-        window = Deadline(policy.window_s)
-        while (
-            len(batch) < policy.max_batch_requests
-            and n_words < policy.max_batch_words
-        ):
+        while len(batch) < MAX_BATCH_REQUESTS and n_words < MAX_BATCH_WORDS:
             try:
                 request = link.queue.get_nowait()
             except asyncio.QueueEmpty:
-                if window.expired():
-                    break
-                try:
-                    request = await asyncio.wait_for(
-                        link.queue.get(), window.remaining()
-                    )
-                except asyncio.TimeoutError:
-                    break
+                break
             if not self._take(link, request):
                 continue
             if request.op != batch[0].op:
@@ -450,12 +395,6 @@ class ServeEngine:
 #: Shape/unit signatures for the deep-lint flow pass (see
 #: ``docs/static_analysis.md``). ``T`` = request samples.
 REPRO_SIGNATURES = {
-    "BatchPolicy": {
-        "window_s": "scalar second",
-        "max_batch_words": "scalar dimensionless",
-        "max_batch_requests": "scalar dimensionless",
-        "queue_limit": "scalar dimensionless",
-    },
     "ServeEngine.submit": {
         "link_id": "any",
         "op": "any",

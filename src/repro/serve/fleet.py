@@ -90,14 +90,12 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
 import logging
 import signal
 import subprocess
 import sys
 import tempfile
 from collections import OrderedDict
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -106,7 +104,6 @@ from repro.runtime.faults import fault_point
 from repro.runtime.supervision import Deadline
 from repro.serve.client import exception_from_header
 from repro.serve.engine import (
-    BatchPolicy,
     EngineClosedError,
     OverloadedError,
     UnknownLinkError,
@@ -375,8 +372,6 @@ class FleetServer(FrameServer):
     runtime_dir:
         Directory for worker sockets and snapshot checkpoints; a private
         temp dir (removed on close) when omitted.
-    policy:
-        Batch policy shipped to every worker engine.
     snapshot_every:
         Journaled requests per link between epoch snapshots.
     heartbeat_interval_s / heartbeat_misses:
@@ -399,7 +394,6 @@ class FleetServer(FrameServer):
         self,
         n_workers: int = 2,
         runtime_dir: Optional[str] = None,
-        policy: Optional[BatchPolicy] = None,
         snapshot_every: int = 512,
         heartbeat_interval_s: float = 1.0,
         heartbeat_misses: int = 3,
@@ -416,7 +410,6 @@ class FleetServer(FrameServer):
                 f"snapshot_every must be >= 1, got {snapshot_every}"
             )
         self.n_workers = int(n_workers)
-        self._policy = policy
         self.snapshot_every = int(snapshot_every)
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.heartbeat_misses = int(heartbeat_misses)
@@ -449,8 +442,6 @@ class FleetServer(FrameServer):
             "--index", str(handle.index),
             "--generation", str(handle.generation),
         ]
-        if self._policy is not None:
-            argv += ["--policy", json.dumps(asdict(self._policy))]
         # The worker inherits the environment: PYTHONPATH so it can
         # import repro, REPRO_FAULTS so chaos plans reach the fleet's
         # data plane.

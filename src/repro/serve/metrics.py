@@ -186,8 +186,8 @@ class LatencyHistogram:
 class RateMeter:
     """Windowed event rate (words per second over the trailing window)."""
 
-    def __init__(self, window_s: float = 10.0) -> None:
-        self.window_s = float(window_s)
+    def __init__(self, span_s: float = 10.0) -> None:
+        self.span_s = float(span_s)
         self._events: List[tuple] = []  # (monotonic time, count)
         self._total = 0
         self._lock = threading.Lock()
@@ -200,7 +200,7 @@ class RateMeter:
             self._prune(now)
 
     def _prune(self, now: float) -> None:
-        cutoff = now - self.window_s
+        cutoff = now - self.span_s
         drop = 0
         for stamp, _ in self._events:
             if stamp >= cutoff:
@@ -696,39 +696,48 @@ class EnergyAccount:
         with self._lock:
             return self._n_samples
 
-    def statistics(self) -> Optional[BitStatistics]:
-        """The accumulated stream's :class:`BitStatistics`, or ``None``.
-
-        Identical (to the last ulp) to ``BitStatistics.from_stream`` over
-        the concatenated batches; ``None`` before two samples exist.
-        """
+    def _snapshot(self) -> Tuple[Optional[BitStatistics], int]:
+        """The stream's statistics and sample count, from one read."""
         gram, ones, n_samples, _ = self._moments()
         transitions = n_samples - 1
         if transitions < 1:
-            return None
+            return None, n_samples
         coupling = gram / float(transitions)
         return BitStatistics(
             self_switching=np.diag(coupling).copy(),
             coupling=coupling,
             probabilities=ones / float(n_samples),
             n_samples=n_samples,
-        )
+        ), n_samples
 
-    def normalized_power(self) -> Optional[float]:
-        """Normalized link power ``P_n`` [F] of the accumulated stream."""
-        stats = self.statistics()
+    def statistics(self) -> Optional[BitStatistics]:
+        """The accumulated stream's :class:`BitStatistics`, or ``None``.
+
+        Identical (to the last ulp) to ``BitStatistics.from_stream`` over
+        the concatenated batches; ``None`` before two samples exist.
+        """
+        return self._snapshot()[0]
+
+    def _power(self, stats: Optional[BitStatistics]) -> Optional[float]:
         if stats is None:
             return None
         return CompiledPowerModel(stats, self._capacitance).power()
+
+    def normalized_power(self) -> Optional[float]:
+        """Normalized link power ``P_n`` [F] of the accumulated stream."""
+        return self._power(self.statistics())
 
     def report(
         self,
         vdd: float = constants.V_DD,
         frequency: float = constants.F_CLOCK,
     ) -> Dict[str, object]:
-        power = self.normalized_power()
+        # One read of the account, so the count and the power describe
+        # the same stream even while another thread books batches.
+        stats, n_samples = self._snapshot()
+        power = self._power(stats)
         return {
-            "n_samples": self.n_samples,
+            "n_samples": n_samples,
             "normalized_power_farad": power,
             "power_mw": (
                 None if power is None
@@ -745,7 +754,7 @@ REPRO_SIGNATURES = {
         "q": "scalar dimensionless",
         "return": "scalar second",
     },
-    "RateMeter": {"window_s": "scalar second"},
+    "RateMeter": {"span_s": "scalar second"},
     "RateMeter.add": {"count": "scalar dimensionless",
                       "now": "scalar second"},
     "RateMeter.rate": {"now": "scalar second",

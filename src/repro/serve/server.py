@@ -28,12 +28,7 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.serve.engine import (
-    BatchPolicy,
-    OverloadedError,
-    ServeEngine,
-    ServeEngineError,
-)
+from repro.serve.engine import OverloadedError, ServeEngine, ServeEngineError
 from repro.serve.protocol import (
     ProtocolError,
     error_header,
@@ -532,16 +527,9 @@ class FrameServer:
 class LinkServer(FrameServer):
     """One engine behind one listening socket (TCP or unix)."""
 
-    def __init__(
-        self,
-        engine: Optional[ServeEngine] = None,
-        policy: Optional[BatchPolicy] = None,
-        max_workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, engine: Optional[ServeEngine] = None) -> None:
         super().__init__()
-        self.engine = engine or ServeEngine(
-            policy=policy, max_workers=max_workers
-        )
+        self.engine = engine or ServeEngine()
 
     async def close(self) -> None:
         await super().close()

@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import logging
 import os
 from typing import Any, Dict, Optional
 
 from repro.runtime.faults import InjectedFault, fault_point
-from repro.serve.engine import BatchPolicy
 from repro.serve.server import LinkServer
 from repro.serve.session import LinkConfig, LinkSession
 
@@ -59,13 +57,8 @@ ORPHAN_POLL_S = 2.0
 class WorkerServer(LinkServer):
     """A :class:`LinkServer` that knows it is one worker of a fleet."""
 
-    def __init__(
-        self,
-        index: int,
-        generation: int = 0,
-        policy: Optional[BatchPolicy] = None,
-    ) -> None:
-        super().__init__(policy=policy)
+    def __init__(self, index: int, generation: int = 0) -> None:
+        super().__init__()
         self.index = int(index)
         self.generation = int(generation)
 
@@ -118,12 +111,7 @@ class WorkerServer(LinkServer):
         return await super()._run_control(op, header)
 
 
-def worker_main(
-    path: str,
-    index: int,
-    generation: int = 0,
-    policy: Optional[BatchPolicy] = None,
-) -> None:
+def worker_main(path: str, index: int, generation: int = 0) -> None:
     """Serve one fleet worker on unix socket ``path`` until killed."""
 
     parent = os.getppid()
@@ -144,9 +132,7 @@ def worker_main(
         os._exit(0)
 
     async def main() -> None:
-        server = WorkerServer(
-            index=index, generation=generation, policy=policy
-        )
+        server = WorkerServer(index=index, generation=generation)
         await server.start(path=path)
         logger.info(
             "fleet worker %d (generation %d) serving on %s",
@@ -172,19 +158,12 @@ def main(argv: Optional[list] = None) -> None:
                         help="worker slot index in the fleet")
     parser.add_argument("--generation", type=int, default=0,
                         help="incarnation counter (0 = first spawn)")
-    parser.add_argument("--policy", default=None,
-                        help="BatchPolicy fields as a JSON object")
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.INFO,
         format=f"[worker {args.index}] %(levelname)s %(message)s",
     )
-    policy = None
-    if args.policy:
-        policy = BatchPolicy(**json.loads(args.policy))
-    worker_main(
-        args.path, args.index, generation=args.generation, policy=policy
-    )
+    worker_main(args.path, args.index, generation=args.generation)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ so the suite runs on the plain pytest the repo already depends on.
 """
 
 import asyncio
+import threading
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from repro.runtime.faults import inject_faults
 from repro.serve import engine as engine_module
 from repro.serve.engine import (
-    BatchPolicy,
     DeadlineExceededError,
     EngineClosedError,
     OverloadedError,
@@ -31,12 +31,39 @@ def make_config(**overrides):
     return LinkConfig.from_dict(base)
 
 
-def run(coroutine_fn, **engine_kwargs):
+def run(coroutine_fn):
     async def main():
-        async with ServeEngine(**engine_kwargs) as engine:
+        async with ServeEngine() as engine:
             return await coroutine_fn(engine)
 
     return asyncio.run(main())
+
+
+def hold_batches(engine):
+    """Block every batch on the executor until ``release`` is set.
+
+    Returns ``(started, release)``: ``started`` is set once a batch
+    holds the link's worker. Set ``release`` before the engine closes,
+    or its pool shutdown waits out the safety timeout.
+    """
+    started = threading.Event()
+    release = threading.Event()
+    original = engine._run_batch
+
+    def held_run_batch(session, op, words, seq=None):
+        started.set()
+        release.wait(5.0)
+        return original(session, op, words, seq)
+
+    engine._run_batch = held_run_batch
+    return started, release
+
+
+async def until_set(event):
+    """Await a ``threading.Event`` without blocking the event loop."""
+    assert await asyncio.get_running_loop().run_in_executor(
+        None, event.wait, 5.0
+    )
 
 
 class TestDataPath:
@@ -87,7 +114,7 @@ class TestDataPath:
             assert snapshot["batches"] < snapshot["requests"]
             assert snapshot["words_encoded"] == 200
 
-        run(body, policy=BatchPolicy(window_s=0.05))
+        run(body)
 
     def test_direction_flip_splits_the_batch(self):
         async def body(engine):
@@ -104,7 +131,7 @@ class TestDataPath:
             results = await asyncio.gather(*futures)
             np.testing.assert_array_equal(results[1], words)
 
-        run(body, policy=BatchPolicy(window_s=0.05))
+        run(body)
 
     def test_codec_error_fails_the_batch_not_the_engine(self):
         async def body(engine):
@@ -119,7 +146,7 @@ class TestDataPath:
 
 
 class TestContinuousBatching:
-    """``window_s=0``: drain what is queued, never wait for more."""
+    """A batch drains what is queued and never waits for more."""
 
     def test_requests_queued_before_the_worker_wakes_form_one_batch(self):
         async def body(engine):
@@ -136,9 +163,9 @@ class TestContinuousBatching:
             assert snapshot["requests"] == 20
             assert snapshot["max_batch_words"] == 200
 
-        run(body, policy=BatchPolicy(window_s=0.0))
+        run(body)
 
-    def test_drain_respects_the_request_cap(self):
+    def test_drain_respects_the_request_cap(self, monkeypatch):
         async def body(engine):
             engine.create_link("L", make_config())
             futures = [
@@ -148,23 +175,27 @@ class TestContinuousBatching:
             await asyncio.gather(*futures)
             assert engine.stats("L")["metrics"]["batches"] == 3
 
-        run(body, policy=BatchPolicy(window_s=0.0, max_batch_requests=8))
+        monkeypatch.setattr(engine_module, "MAX_BATCH_REQUESTS", 8)
+        run(body)
 
     def test_lone_request_is_not_held_for_a_window(self):
+        # The engine has no batch window: waiting for more requests
+        # would need a timed get (asyncio.wait_for), which it never makes.
         async def body(engine):
-            engine.create_link("L", make_config())
-            result = await engine.submit("L", "encode", np.arange(8))
-            np.testing.assert_array_equal(result, np.arange(8))
+            engine.create_link("L", make_config(codecs=[{"kind": "gray"}]))
+            coded = await engine.submit("L", "encode", np.arange(8))
+            futures = [
+                engine.enqueue("L", "encode", np.arange(8)),
+                engine.enqueue("L", "decode", coded),
+            ]
+            await asyncio.gather(*futures)
             return engine.stats("L")["metrics"]["batches"]
 
-        # The worker only ever waits for a window through wait_for.
         with mock.patch.object(
             asyncio, "wait_for", wraps=asyncio.wait_for
         ) as waits:
-            assert run(body) == 1
-            assert waits.call_count == 0
-            run(body, policy=BatchPolicy(window_s=0.01))
-            assert waits.call_count == 1
+            assert run(body) == 3
+        assert waits.call_count == 0
 
     def test_direction_flip_closes_a_drained_batch(self):
         async def body(engine):
@@ -184,7 +215,7 @@ class TestContinuousBatching:
             # [submit], [encode, encode], [decode], [encode]
             assert engine.stats("L")["metrics"]["batches"] == 4
 
-        run(body, policy=BatchPolicy(window_s=0.0))
+        run(body)
 
     def test_default_pool_size_follows_the_affinity(self, monkeypatch):
         async def body(engine):
@@ -193,25 +224,30 @@ class TestContinuousBatching:
         # One batch thread per usable core, plus one.
         monkeypatch.setattr(engine_module, "usable_cores", lambda: 3)
         assert run(body) == 4
-        assert run(body, max_workers=2) == 2
 
 
 class TestBackpressure:
-    def test_queue_full_sheds_with_overloaded_error(self):
+    def test_queue_full_sheds_with_overloaded_error(self, monkeypatch):
         async def body(engine):
+            started, release = hold_batches(engine)
             engine.create_link("L", make_config())
             words = np.arange(64)
-            futures = []
-            with pytest.raises(OverloadedError, match="queue full"):
-                for _ in range(1000):
-                    futures.append(engine.enqueue("L", "encode", words))
-            await asyncio.gather(*futures)
-            assert engine.stats("L")["metrics"]["shed"] >= 1
+            try:
+                held = engine.enqueue("L", "encode", words)
+                await until_set(started)
+                futures = []
+                with pytest.raises(OverloadedError, match=r"queue full \(4 "):
+                    for _ in range(1000):
+                        futures.append(engine.enqueue("L", "encode", words))
+                assert len(futures) == 4
+            finally:
+                release.set()
+            await asyncio.gather(held, *futures)
+            assert engine.stats("L")["metrics"]["shed"] == 1
 
-        # A long window holds the worker so the queue can actually fill.
-        run(body, policy=BatchPolicy(
-            window_s=0.2, queue_limit=4, max_batch_requests=2
-        ))
+        # The first batch holds the worker, so the queue fills to its bound.
+        monkeypatch.setattr(engine_module, "QUEUE_LIMIT", 4)
+        run(body)
 
     def test_expired_deadline_drops_before_encoding(self):
         async def body(engine):
@@ -234,7 +270,7 @@ class TestBackpressure:
                 first, session.chain.encode(words[:50])
             )
 
-        run(body, policy=BatchPolicy(window_s=0.0))
+        run(body)
 
 
 class TestLifecycle:
@@ -263,56 +299,44 @@ class TestLifecycle:
 
     def test_drop_link_fails_queued_requests(self):
         async def body(engine):
+            started, release = hold_batches(engine)
             engine.create_link("L", make_config())
-            futures = [
+            try:
                 engine.enqueue("L", "encode", np.arange(8))
-                for _ in range(8)
-            ]
-            await engine.drop_link("L")
-            failures = 0
+                await until_set(started)
+                # Queued behind the held batch, never taken by the worker.
+                futures = [
+                    engine.enqueue("L", "encode", np.arange(8))
+                    for _ in range(8)
+                ]
+                await engine.drop_link("L")
+            finally:
+                release.set()
             for future in futures:
-                try:
+                with pytest.raises(EngineClosedError):
                     await future
-                except EngineClosedError:
-                    failures += 1
-            assert failures >= 1
             with pytest.raises(UnknownLinkError):
                 await engine.submit("L", "encode", np.arange(8))
 
-        run(body, policy=BatchPolicy(window_s=0.5))
+        run(body)
 
     def test_drop_link_fails_in_flight_batch(self):
         # The batch executing on the thread pool when the link drops is
         # neither queued nor carried; its futures must still fail rather
         # than hang the callers awaiting them.
-        import threading
-
-        started = threading.Event()
-        release = threading.Event()
-
         async def body(engine):
-            original = engine._run_batch
-
-            def stalled_run_batch(session, op, words, seq=None):
-                started.set()
-                release.wait(5.0)
-                return original(session, op, words, seq)
-
-            engine._run_batch = stalled_run_batch
+            started, release = hold_batches(engine)
             engine.create_link("L", make_config())
-            future = engine.enqueue("L", "encode", np.arange(8))
-            await asyncio.get_running_loop().run_in_executor(
-                None, started.wait, 5.0
-            )
-            await engine.drop_link("L")
-            with pytest.raises(EngineClosedError):
-                await asyncio.wait_for(future, 5.0)
-            release.set()
+            try:
+                future = engine.enqueue("L", "encode", np.arange(8))
+                await until_set(started)
+                await engine.drop_link("L")
+                with pytest.raises(EngineClosedError):
+                    await asyncio.wait_for(future, 5.0)
+            finally:
+                release.set()
 
-        try:
-            run(body, policy=BatchPolicy(window_s=0.0))
-        finally:
-            release.set()
+        run(body)
 
     def test_closed_engine_rejects_everything(self):
         async def body():

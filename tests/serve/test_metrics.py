@@ -187,6 +187,26 @@ class TestEnergyAccountExactness:
             1.0e3 * power * 1.0 * 2.0e9 / 2.0
         )
 
+    def test_report_reads_the_account_once(self):
+        # A batch booked right after report's first read of the moments
+        # must not lengthen the count that comes with the power.
+        account = EnergyAccount(6, cap_model_for(GEOMETRY))
+        account.update(word_stream(100, 6))
+        power = account.normalized_power()
+        moments = account._moments
+
+        def read_then_book():
+            snapshot = moments()
+            account._moments = moments
+            account.update(word_stream(50, 6, seed=1))
+            return snapshot
+
+        account._moments = read_then_book
+        report = account.report()
+        assert report["n_samples"] == 100
+        assert report["normalized_power_farad"] == power
+        assert account.n_samples == 150
+
 
 #: Ten lines: every width of the histogram path, and one above its cutoff.
 TEN_LINES = TSVArrayGeometry(rows=2, cols=5, pitch=4.0e-6, radius=1.0e-6)
@@ -347,7 +367,7 @@ class TestLatencyHistogram:
 
 class TestRateMeter:
     def test_rate_over_window(self):
-        meter = RateMeter(window_s=10.0)
+        meter = RateMeter(span_s=10.0)
         meter.add(100, now=0.0)
         meter.add(100, now=1.0)
         meter.add(100, now=2.0)
@@ -355,7 +375,7 @@ class TestRateMeter:
         assert meter.total == 300
 
     def test_old_events_expire(self):
-        meter = RateMeter(window_s=1.0)
+        meter = RateMeter(span_s=1.0)
         meter.add(1000, now=0.0)
         meter.add(10, now=5.0)
         meter.add(10, now=5.5)
@@ -470,7 +490,7 @@ class TestSnapshotConsistency:
     def test_rate_meter_total_is_locked(self):
         import threading
 
-        meter = RateMeter(window_s=100.0)
+        meter = RateMeter(span_s=100.0)
         threads = [
             threading.Thread(
                 target=lambda: [meter.add(1) for _ in range(1000)]

@@ -7,15 +7,17 @@ server-reported per-link energy matches an offline
 relative (the implementation is in fact bit-identical).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.fastpower import CompiledPowerModel
 from repro.datagen.util import words_to_bits
 from repro.experiments.common import cap_model_for
+from repro.serve import engine as engine_module
 from repro.serve import (
     BackgroundServer,
-    BatchPolicy,
     LinkClient,
     LinkServer,
     OverloadedError,
@@ -207,20 +209,30 @@ class TestPipelining:
             coded_b = b.stream("shared-b", words, chunk_words=512)
             np.testing.assert_array_equal(coded_a, coded_b)
 
-    def test_overload_maps_to_local_exception(self):
-        policy = BatchPolicy(window_s=0.5, queue_limit=1,
-                             max_batch_requests=1)
-        with BackgroundServer(
-            server_factory=lambda: LinkServer(policy=policy)
-        ) as background:
+    def test_overload_maps_to_local_exception(self, monkeypatch):
+        # The first batch blocks on ``release``, so with a one-request
+        # queue the link holds at most two of the pipelined frames.
+        monkeypatch.setattr(engine_module, "QUEUE_LIMIT", 1)
+        release = threading.Event()
+
+        def held_server():
+            server = LinkServer()
+            run_batch = server.engine._run_batch
+
+            def held_run_batch(session, op, words, seq=None):
+                release.wait(5.0)
+                return run_batch(session, op, words, seq)
+
+            server.engine._run_batch = held_run_batch
+            return server
+
+        with BackgroundServer(server_factory=held_server) as background:
             with LinkClient.connect(background.address) as client:
                 client.create_link("tiny", link_config(8, []))
                 from repro.serve.protocol import words_to_payload
 
                 words = np.arange(256)
-                with pytest.raises(OverloadedError):
-                    # Fire-and-await one by one is too slow to overload;
-                    # push raw frames to fill the queue synchronously.
+                try:
                     ids = [
                         client._send(
                             {"op": "encode", "link": "tiny"},
@@ -228,8 +240,10 @@ class TestPipelining:
                         )
                         for _ in range(64)
                     ]
-                    for request_id in ids:
-                        client._receive(request_id)
+                    with pytest.raises(OverloadedError):
+                        client._receive(ids[-1])
+                finally:
+                    release.set()
 
 
 class TestUnixSocket:
@@ -252,7 +266,7 @@ class TestStopHangDetection:
     """A hung teardown must never masquerade as a clean stop."""
 
     def test_stuck_teardown_raises_with_stack(self):
-        import time
+        unblock = threading.Event()
 
         class StuckServer:
             address = ("127.0.0.1", 1)
@@ -261,21 +275,23 @@ class TestStopHangDetection:
                 pass
 
             async def close(self):
-                time.sleep(0.8)  # blocks the loop thread through the join
+                unblock.wait(30.0)  # blocks the loop thread through the join
 
         background = BackgroundServer(
             server_factory=StuckServer, stop_timeout_s=0.1
         )
         background.start()
-        with pytest.raises(RuntimeError, match="still alive") as excinfo:
-            background.stop()
+        try:
+            with pytest.raises(RuntimeError, match="still alive") as excinfo:
+                background.stop()
+        finally:
+            unblock.set()
         # The stuck thread's stack is in the message, pointing at the
         # blocking close().
         assert "stuck at" in str(excinfo.value)
         assert "close" in str(excinfo.value)
         # The thread reference is kept: once the blocker drains, a
         # retried stop() joins cleanly instead of raising again.
-        time.sleep(1.0)
         background.stop()
 
     def test_clean_stop_is_silent(self):

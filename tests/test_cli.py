@@ -21,6 +21,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    def test_serve_has_no_batch_window(self, capsys):
+        # The engine never waits for more requests; there is no knob.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--window-ms", "1"])
+        assert excinfo.value.code == 2
+        assert "--window-ms" in capsys.readouterr().err
+
 
 class TestExtract(object):
     def test_prints_matrix(self, capsys):

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.datagen.util import append_stable_lines, words_to_bits
 from repro.rng import ensure_rng
@@ -35,6 +34,39 @@ from repro.rng import ensure_rng
 #: Indices of the stable lines appended by
 #: :func:`rgb_parallel_with_stable_stream`, in order.
 STABLE_ENABLE, STABLE_REDUNDANT, STABLE_POWER, STABLE_GROUND = 32, 33, 34, 35
+
+
+def _gaussian_filter(
+    image: np.ndarray, sigma: float, truncate: float = 4.0
+) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(image, sigma, truncate=truncate)``
+    with its default ``"reflect"`` boundary, equal float for float.
+
+    The kernel is built as ndimage's ``_gaussian_kernel1d`` builds it, and
+    each axis (0 first) is correlated in the operation order of ndimage's
+    loop for symmetric kernels: ``x[0] * w[r]``, then ``(x[-j] + x[j]) *
+    w[r - j]`` added for ``j = r ... 1``. ndimage's reflect boundary is
+    numpy's ``"symmetric"`` padding, repeated reflections included, so
+    lines shorter than the radius match too.
+    """
+    sigma = float(sigma)
+    radius = int(truncate * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    weights = (phi / phi.sum())[::-1]
+    out = np.asarray(image, dtype=float)
+    for axis in range(out.ndim):
+        n = out.shape[axis]
+        widths = [(0, 0)] * out.ndim
+        widths[axis] = (radius, radius)
+        line = np.moveaxis(np.pad(out, widths, mode="symmetric"), axis, 0)
+        acc = line[radius:radius + n] * weights[radius]
+        for j in range(radius, 0, -1):
+            acc += (
+                line[radius - j:radius - j + n] + line[radius + j:radius + j + n]
+            ) * weights[radius - j]
+        out = np.ascontiguousarray(np.moveaxis(acc, 0, axis))
+    return out
 
 
 def synthetic_scene(
@@ -56,7 +88,7 @@ def synthetic_scene(
         raise ValueError("correlation_length must be positive")
     rng = ensure_rng(rng)
 
-    texture = ndimage.gaussian_filter(
+    texture = _gaussian_filter(
         rng.standard_normal((height, width)), sigma=correlation_length
     )
     spread = texture.std()

@@ -168,8 +168,11 @@ class ServeEngine:
                 await link.worker
             except asyncio.CancelledError:
                 pass
-        leftovers = list(link.inflight)
+        # A non-empty in-flight batch was handed to the pool, which the
+        # cancel does not stop: it may still run (and be booked).
+        running = link.inflight
         link.inflight = []
+        leftovers = []
         if link.carry is not None:
             leftovers.append(link.carry)
             link.carry = None
@@ -178,11 +181,13 @@ class ServeEngine:
                 leftovers.append(link.queue.get_nowait())
             except asyncio.QueueEmpty:
                 break
-        for request in leftovers:
-            if not request.future.done():
-                request.future.set_exception(
-                    EngineClosedError("link dropped before request ran")
-                )
+        for requests, message in (
+            (running, "link dropped while its batch ran; outcome unknown"),
+            (leftovers, "link dropped before request ran"),
+        ):
+            for request in requests:
+                if not request.future.done():
+                    request.future.set_exception(EngineClosedError(message))
 
     # -- request path -------------------------------------------------------
 

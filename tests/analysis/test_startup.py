@@ -1,8 +1,9 @@
 """Entry points import only what they run.
 
-The linter starts without the numeric stack, and every serving process
+The linter starts without the numeric stack; every serving process
 (the ``repro serve`` child, the fleet front and worker, a link session)
-starts and serves without SciPy. Every guard runs in a fresh
+starts and serves without SciPy, and so do the paper's figure runs and
+the grid workers that run them. Every guard runs in a fresh
 interpreter: the test process itself has numpy and scipy loaded long
 before these tests run.
 """
@@ -160,6 +161,27 @@ def test_link_session_round_trip_loads_no_scipy():
         "report = session.energy_report()\n"
         "assert report['coded']['n_samples'] == len(words), report"
     )
+    assert "numpy" in loaded
+    assert "scipy" not in loaded
+
+
+@pytest.mark.parametrize("figure, module", [
+    ("fig4", "repro.datagen.images"),
+    ("routing", "repro.routing.local"),
+])
+def test_figure_runs_load_no_scipy(figure, module):
+    # fig4 low-pass filters its scenes and routing solves assignments;
+    # both filter and solver are in-tree.
+    result = _python("-X", "importtime", "-m", "repro", "figure", figure,
+                     "--fast")
+    assert result.returncode == 0, result.stderr
+    imported = _imported(result.stderr)
+    assert module in imported
+    assert not {name for name in imported if name.split(".")[0] == "scipy"}
+
+
+def test_grid_worker_with_a_figure_loads_no_scipy():
+    loaded = _loaded("import repro.grid.worker, repro.experiments.fig4")
     assert "numpy" in loaded
     assert "scipy" not in loaded
 

@@ -4,6 +4,7 @@ random)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from repro.datagen import images, mems
 from repro.datagen.gaussian import (
@@ -95,6 +96,18 @@ class TestSequential:
 
 
 class TestImages:
+    @pytest.mark.parametrize("shape", [
+        (64, 64), (48, 32), (7, 5), (3, 3), (1, 9), (2, 40), (25,), (1,),
+    ])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.5, 6.0, 13.0])
+    def test_gaussian_filter_equals_ndimage(self, shape, sigma):
+        # Most of these lines are shorter than the radius, 4 sigma.
+        image = np.random.default_rng(7).standard_normal(shape)
+        assert np.array_equal(
+            images._gaussian_filter(image, sigma),
+            ndimage.gaussian_filter(image, sigma),
+        )
+
     def test_scene_range_and_shape(self):
         scene = images.synthetic_scene(32, 48, rng=np.random.default_rng(0))
         assert scene.shape == (32, 48)

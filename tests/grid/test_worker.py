@@ -97,11 +97,10 @@ class TestHardKill:
         with pytest.raises(InjectedFault):
             GridWorker(tmp_path, index=0, lease_timeout_s=1.0).run()
         # The job is stranded in running/ with a silent lease...
-        queue = JobQueue(tmp_path)
-        assert queue.counts()["running"] == 1
-        # ...and a later sweep returns it to pending.
-        time.sleep(1.1)
-        assert queue.reclaim_expired(lease_timeout_s=1.0) != []
+        assert JobQueue(tmp_path).counts()["running"] == 1
+        # ...and a sweep 1.1 s later returns it to pending.
+        later = JobQueue(tmp_path, clock=lambda: time.time() + 1.1)
+        assert later.reclaim_expired(lease_timeout_s=1.0) != []
 
     def test_killed_worker_job_is_rerun_elsewhere(self, tmp_path, monkeypatch):
         """The chaos contract: kill one worker mid-job, lose nothing."""

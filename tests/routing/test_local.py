@@ -5,12 +5,22 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from repro.routing.local import (
     LocalRoutingModel,
+    _linear_sum_assignment,
     permutation_statistic_moments,
 )
 from repro.tsv.geometry import TSVArrayGeometry
+
+#: The arrays of the Sec. 3 experiment (``experiments.routing_overhead``).
+ROUTING_ARRAYS = [
+    TSVArrayGeometry(3, 3, 8e-6, 2e-6),
+    TSVArrayGeometry(3, 3, 4e-6, 1e-6),
+    TSVArrayGeometry(4, 4, 8e-6, 2e-6),
+    TSVArrayGeometry(6, 6, 4e-6, 1e-6),
+]
 
 
 def model_3x3(**kwargs):
@@ -92,3 +102,58 @@ class TestOverhead:
         small = LocalRoutingModel(geom_small).overhead()
         large = LocalRoutingModel(geom_large).overhead()
         assert large.worst_case > small.worst_case
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2016)
+    cases = []
+    for _ in range(40):
+        nr, nc = (int(k) for k in rng.integers(1, 9, 2))
+        cases.append(rng.standard_normal((nr, nc)))
+        # Few distinct values: many tied optima.
+        cases.append(rng.integers(0, 3, (nr, nc)).astype(float))
+    cases += [np.ones((4, 4)), np.eye(5), np.zeros((3, 0)), np.zeros((0, 2))]
+    return cases
+
+
+class TestAssignmentPort:
+    """``_linear_sum_assignment`` picks SciPy's rows and columns exactly."""
+
+    @staticmethod
+    def assert_same(cost):
+        rows, cols = linear_sum_assignment(cost)
+        our_rows, our_cols = _linear_sum_assignment(cost)
+        assert our_rows.dtype == rows.dtype and our_cols.dtype == cols.dtype
+        np.testing.assert_array_equal(our_rows, rows)
+        np.testing.assert_array_equal(our_cols, cols)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_random_and_tied_matrices(self, sign):
+        for cost in _oracle_cases():
+            self.assert_same(sign * cost)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("geometry", ROUTING_ARRAYS,
+                             ids=["3x3-8um", "3x3-4um", "4x4-8um", "6x6-4um"])
+    def test_routing_matrices(self, geometry, sign):
+        # Symmetric layouts: the optimum is tied, and a different tie
+        # moves the overhead by an ulp.
+        scores = LocalRoutingModel(geometry).wire_parasitic_matrix()
+        self.assert_same(sign * scores)
+
+    @pytest.mark.parametrize("cost", [
+        np.zeros(3),
+        np.zeros((2, 2, 2)),
+        [[np.nan, 1.0], [1.0, 0.0]],
+        [[-np.inf, 1.0], [1.0, 0.0]],
+        [[np.inf]],
+        [[np.inf, 1.0], [np.inf, 2.0]],
+        [["a"]],
+    ], ids=["1-D", "3-D", "nan", "-inf", "inf", "infeasible", "text"])
+    def test_errors_are_scipys(self, cost):
+        with pytest.raises(Exception) as theirs:
+            linear_sum_assignment(cost)
+        with pytest.raises(Exception) as ours:
+            _linear_sum_assignment(cost)
+        assert type(ours.value) is type(theirs.value)
+        assert str(ours.value) == str(theirs.value)

@@ -313,7 +313,8 @@ class TestLifecycle:
             finally:
                 release.set()
             for future in futures:
-                with pytest.raises(EngineClosedError):
+                with pytest.raises(EngineClosedError,
+                                   match="^link dropped before request ran$"):
                     await future
             with pytest.raises(UnknownLinkError):
                 await engine.submit("L", "encode", np.arange(8))
@@ -323,7 +324,8 @@ class TestLifecycle:
     def test_drop_link_fails_in_flight_batch(self):
         # The batch executing on the thread pool when the link drops is
         # neither queued nor carried; its futures must still fail rather
-        # than hang the callers awaiting them.
+        # than hang the callers awaiting them. The pool thread cannot be
+        # stopped, so the batch may still run: the error says so.
         async def body(engine):
             started, release = hold_batches(engine)
             engine.create_link("L", make_config())
@@ -331,7 +333,9 @@ class TestLifecycle:
                 future = engine.enqueue("L", "encode", np.arange(8))
                 await until_set(started)
                 await engine.drop_link("L")
-                with pytest.raises(EngineClosedError):
+                with pytest.raises(EngineClosedError, match=(
+                    "^link dropped while its batch ran; outcome unknown$"
+                )):
                     await asyncio.wait_for(future, 5.0)
             finally:
                 release.set()

@@ -78,6 +78,7 @@ from repro.core.fastpower import (
 from repro.core.power import PowerModel
 from repro.rng import ensure_rng
 from repro.runtime.artifacts import (
+    OUTPUT_EPOCHS,
     CheckpointError,
     CheckpointStore,
     encode_rng_state,
@@ -119,10 +120,9 @@ _PROPOSAL_BATCH = 32
 #: are available.
 _TOGGLE_FRACTION = 0.3
 
-#: Producer tag of annealing checkpoints. Version 2: a chain's ``done``
-#: payload holds its unpolished result (polishing runs once, after all
-#: chains), so single-chain checkpoints of version 1 are ignored.
-_CHECKPOINT_KIND = "simulated-annealing/2"
+#: Producer tag of annealing checkpoints; their fingerprint carries the
+#: search output epoch, which expires checkpoints of older searches.
+_CHECKPOINT_KIND = "simulated-annealing"
 
 #: Moves whose |delta| is below this (relative to the current power) are
 #: treated as plateau moves and never committed: symmetric arrays carry
@@ -962,6 +962,7 @@ class _Search:
                 Path(checkpoint_dir),
                 kind=_CHECKPOINT_KIND,
                 fingerprint={
+                    "epoch": OUTPUT_EPOCHS["search"],
                     "n_bits": n_bits,
                     "with_inversions": problem.with_inversions,
                     "pinned": constraints.pinned,

@@ -128,7 +128,7 @@ def optimizers(fast: bool = False, seed: int = 2018) -> List[ExperimentRow]:
     rows = []
     # Exhaustive without inversions is exact and feasible on 9 lines.
     t0 = time.perf_counter()
-    exact = exhaustive_search(model.power, 9, with_inversions=False)
+    exact = exhaustive_search(model, 9, with_inversions=False)
     t_exact = time.perf_counter() - t0
     rows.append(
         ExperimentRow(
@@ -153,7 +153,7 @@ def optimizers(fast: bool = False, seed: int = 2018) -> List[ExperimentRow]:
         (
             "sim. annealing",
             lambda: simulated_annealing(
-                model.power, 9, with_inversions=False,
+                model, 9, with_inversions=False,
                 rng=np.random.default_rng(seed),
                 steps_per_temperature=50 if fast else None,
             ),
@@ -161,7 +161,7 @@ def optimizers(fast: bool = False, seed: int = 2018) -> List[ExperimentRow]:
         (
             "greedy descent",
             lambda: greedy_descent(
-                model.power, SignedPermutation.identity(9),
+                model, SignedPermutation.identity(9),
                 with_inversions=False,
             ),
         ),
@@ -203,7 +203,7 @@ def inversions(fast: bool = False, seed: int = 2018) -> List[ExperimentRow]:
     for label, with_inv in (("with inversions", True),
                             ("without inversions", False)):
         result = simulated_annealing(
-            model.power, 36, with_inversions=with_inv,
+            model, 36, with_inversions=with_inv,
             rng=np.random.default_rng(seed),
             steps_per_temperature=(6 * 36) if fast else None,
         )

@@ -29,7 +29,7 @@ from repro.core.optimize import simulated_annealing  # noqa: F401
 from repro.core.power import PowerModel
 from repro.core.systematic import sawtooth_assignment, spiral_assignment_for_stats
 from repro.core.pipeline import random_baseline_power
-from repro.runtime.artifacts import CheckpointStore, jsonify
+from repro.runtime.artifacts import OUTPUT_EPOCHS, CheckpointStore, jsonify
 from repro.runtime.faults import fault_point
 from repro.stats.switching import BitStatistics
 from repro.tsv.capmodel import LinearCapacitanceModel
@@ -200,7 +200,9 @@ class ExperimentSweep:
         if checkpoint_dir is not None:
             self._store = CheckpointStore(
                 Path(checkpoint_dir), kind=f"sweep-{kind}",
-                fingerprint=fingerprint or {},
+                fingerprint={
+                    **(fingerprint or {}), "epoch": OUTPUT_EPOCHS["rows"],
+                },
             )
             checkpoint = self._store.load(self.kind)
             if checkpoint is not None:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.runtime.artifacts import jsonify, payload_digest
+from repro.runtime.artifacts import OUTPUT_EPOCHS, jsonify, payload_digest
 
 #: Envelope marker and schema version of queued job files.
 JOB_FORMAT = "repro-grid-job"
@@ -56,11 +56,13 @@ def job_fingerprint(experiment: str, params: Mapping[str, Any], point: str) -> s
     """Content-addressed identity of one grid job.
 
     The fingerprint covers exactly what determines the computation — the
-    experiment name, its (jsonified) parameters and the point name — and
-    nothing about *how* it is run (queue root, worker, attempt count), so
-    a re-run anywhere must reproduce the same values bit for bit.
+    experiment name, its (jsonified) parameters, the point name and the
+    rows output epoch — and nothing about *how* it is run (queue root,
+    worker, attempt count), so a re-run anywhere must reproduce the same
+    values bit for bit, and a deliberate output change is a new job.
     """
     return payload_digest(jsonify({
+        "epoch": OUTPUT_EPOCHS["rows"],
         "experiment": experiment,
         "params": dict(params),
         "point": point,

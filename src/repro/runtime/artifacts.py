@@ -53,6 +53,21 @@ CHECKPOINT_VERSION = 1
 #: File suffix of every checkpoint written by :class:`CheckpointStore`.
 CHECKPOINT_SUFFIX = ".ckpt.json"
 
+#: Output epoch of each domain whose results are kept across runs: the
+#: first 12 hex digits of :func:`payload_digest` over the goldens that pin
+#: the domain's outputs. Every persisted key or fingerprint of a domain
+#: carries its epoch, so a deliberate output change, which moves a golden
+#: and with it the epoch, expires what the old code wrote.
+#: ``tests/runtime/test_epochs.py`` recomputes each one.
+OUTPUT_EPOCHS = {
+    # tests/tsv/test_fdm_golden.GOLDEN: the FDM capacitance matrices.
+    "extraction": "bc3963e642a0",
+    # tests/core/test_search_golden.GOLDEN: the Eq. 10 searches.
+    "search": "846434e21735",
+    # The "paper" and "design" entries of perfbench/golden.json: rows.
+    "rows": "32ca3e5578d1",
+}
+
 
 class CheckpointError(RuntimeError):
     """A checkpoint could not be written or decoded."""
@@ -226,7 +241,7 @@ class CheckpointStore:
     # -- reading ---------------------------------------------------------------
 
     def _evict(self, path: Path, reason: str) -> None:
-        logger.warning("evicting unusable checkpoint %s: %s", path, reason)
+        logger.warning("evicting unusable cache entry %s: %s", path, reason)
         try:
             path.unlink()
         except OSError:  # pragma: no cover - racing eviction is fine

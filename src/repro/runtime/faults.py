@@ -101,7 +101,8 @@ class FaultPlan:
         self._lock = threading.Lock()
         self._crash_chains: Dict[int, bool] = {}  # index -> crash every time
         self._crash_once = False
-        self._corrupt_remaining = 0
+        #: Files left to truncate, per truncating point.
+        self._truncate_remaining: Dict[str, int] = {}
         self._slow_s = 0.0
         self._interrupt_at = 0
         self._interrupt_count = 0
@@ -110,7 +111,6 @@ class FaultPlan:
         self._worker_crash_at = 0
         self._worker_fire_count = 0
         self._hang_s = 0.0
-        self._snapshot_corrupt_remaining = 0
         self._points: Dict[str, bool] = {}
         for entry in spec.split(";"):
             if entry.strip():
@@ -138,8 +138,8 @@ class FaultPlan:
             self._crash_once = once
             for index in indices:
                 self._crash_chains[index] = not once
-        elif name == "cache_corrupt":
-            self._corrupt_remaining = int(raw_args[0]) if raw_args else 1
+        elif name in ("cache_corrupt", "snapshot_corrupt"):
+            self._truncate_remaining[name] = int(raw_args[0]) if raw_args else 1
         elif name == "slow_solve":
             if not raw_args:
                 raise ValueError("slow_solve needs a duration in seconds")
@@ -181,10 +181,6 @@ class FaultPlan:
                 raise ValueError(
                     f"worker_hang duration must be >= 0, got {self._hang_s}"
                 )
-        elif name == "snapshot_corrupt":
-            self._snapshot_corrupt_remaining = (
-                int(raw_args[0]) if raw_args else 1
-            )
         self._points[name] = True
 
     def active(self, name: str) -> bool:
@@ -208,15 +204,8 @@ class FaultPlan:
                 raise InjectedFault(
                     f"injected chain_crash (chain={chain}, attempt={attempt})"
                 )
-        elif name == "cache_corrupt":
-            path = context.get("path")
-            with self._lock:
-                if self._corrupt_remaining <= 0 or path is None:
-                    return
-                self._corrupt_remaining -= 1
-            data = path.read_bytes()
-            path.write_bytes(data[: max(1, len(data) // 2)])
-            logger.warning("fault injection: truncated cache entry %s", path)
+        elif name in ("cache_corrupt", "snapshot_corrupt"):
+            self._truncate(name, context.get("path"))
         elif name == "slow_solve":
             time.sleep(min(self._slow_s, _MAX_SLEEP_S))
         elif name == "interrupt_at":
@@ -266,17 +255,17 @@ class FaultPlan:
                 )
         elif name == "worker_hang":
             time.sleep(min(self._hang_s, _MAX_SLEEP_S))
-        elif name == "snapshot_corrupt":
-            path = context.get("path")
-            with self._lock:
-                if self._snapshot_corrupt_remaining <= 0 or path is None:
-                    return
-                self._snapshot_corrupt_remaining -= 1
-            data = path.read_bytes()
-            path.write_bytes(data[: max(1, len(data) // 2)])
-            logger.warning(
-                "fault injection: truncated snapshot checkpoint %s", path
-            )
+
+    def _truncate(self, name: str, path: Any) -> None:
+        """Cut the file just written at ``path`` in half while ``name``'s
+        budget lasts (``cache_corrupt`` and ``snapshot_corrupt``)."""
+        with self._lock:
+            if self._truncate_remaining.get(name, 0) <= 0 or path is None:
+                return
+            self._truncate_remaining[name] -= 1
+        data = path.read_bytes()
+        path.write_bytes(data[: max(1, len(data) // 2)])
+        logger.warning("fault injection (%s): truncated %s", name, path)
 
 
 # A context-manager plan overrides the environment plan; both are process

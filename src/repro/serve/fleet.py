@@ -887,6 +887,11 @@ class FleetServer(FrameServer):
         link = self._link(link_id)
         del self.links[link_id]
         self._store.discard(self._snapshot_name(link))
+        # Forwarded requests may have run on the worker already.
+        for future in link.outstanding():
+            future.set_exception(EngineClosedError(
+                "link dropped while its batch ran; outcome unknown"
+            ))
         link.fail_all(EngineClosedError("link dropped before request ran"))
         handle = self.workers[link.worker_index]
         if handle.state == "up":

@@ -22,9 +22,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.stats.switching import BitStatistics
+
+
+def normal_sf(x: float) -> float:
+    """Standard normal survival function ``P(Z > x)``: SciPy's ``norm.sf``
+    to a few ulp times ``max(1, x**2)``, without importing SciPy."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def sign_flip_probability(rho: float) -> float:
@@ -78,7 +83,7 @@ def dbt_statistics(
         raise ValueError("width must be >= 1")
     bp0, bp1 = breakpoints(width, sigma, mean)
     p_flip = sign_flip_probability(rho)
-    p_negative = float(norm.sf(mean / sigma))  # P(word < 0) = P(MSB = 1)
+    p_negative = normal_sf(mean / sigma)  # P(word < 0) = P(MSB = 1)
 
     positions = np.arange(width, dtype=float)
     if bp1 > bp0:

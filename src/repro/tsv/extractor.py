@@ -10,16 +10,16 @@ requests capacitance matrices through :class:`CapacitanceExtractor`, which
   solver costs seconds per matrix while benchmark sweeps ask for the same
   geometry thousands of times.
 
-The disk cache is *self-healing*: every entry is written atomically as an
-``.npz`` bundle carrying a format version and a content checksum, and a
-corrupted, truncated or stale entry is detected on read, logged, evicted
-and transparently recomputed (see ``docs/robustness.md``).
+The disk cache is *self-healing*: each FDM matrix is one
+:class:`~repro.runtime.artifacts.CheckpointStore` entry named by the
+SHA-256 of its key, whose fingerprint is the key itself, extraction epoch
+included. A corrupted, truncated or malformed entry is detected on read,
+logged, evicted and transparently recomputed; an entry of an older epoch
+is never read (see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
 import logging
 import os
 from pathlib import Path
@@ -28,7 +28,12 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import constants
-from repro.runtime.artifacts import atomic_write_bytes
+from repro.runtime.artifacts import (
+    OUTPUT_EPOCHS,
+    CheckpointStore,
+    jsonify,
+    payload_digest,
+)
 from repro.runtime.faults import fault_point
 from repro.tsv.arraycap import (
     DEFAULT_PARAMETERS,
@@ -43,9 +48,8 @@ logger = logging.getLogger("repro.tsv.extractor")
 #: Environment variable overriding the on-disk cache location.
 CACHE_ENV_VAR = "REPRO_TSV_CACHE"
 
-#: Bump when solver defaults or the cache file layout change in ways that
-#: invalidate cached matrices (v3: checksummed .npz bundles).
-_CACHE_VERSION = 3
+#: Store kind of the on-disk FDM matrices.
+_CACHE_KIND = "capacitance-matrix"
 
 
 def default_cache_dir() -> Optional[Path]:
@@ -114,22 +118,46 @@ class CapacitanceExtractor:
     def _key(self, probabilities: np.ndarray) -> Tuple:
         probs = tuple(np.round(probabilities, self.probability_decimals))
         return (
-            _CACHE_VERSION,
+            OUTPUT_EPOCHS["extraction"],
             self.geometry.cache_key(),
             self.method,
             round(self.frequency, 3),
             self.resolution,
-            self.parameters.as_array().tobytes()
-            if self.method.startswith("compact") else b"",
+            tuple(self.parameters.as_array())
+            if self.method.startswith("compact") else (),
             probs,
         )
 
-    def _disk_path(self, key: Tuple) -> Optional[Path]:
+    def _disk_entry(self, key: Tuple) -> Optional[Tuple[CheckpointStore, str]]:
+        """The store holding ``key``'s matrix on disk and its entry name."""
         if self.cache_dir is None or self.method != "fdm":
             # The compact model is fast enough not to bother the disk.
             return None
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
-        return Path(self.cache_dir) / f"cap_{digest}.npz"
+        fingerprint = {"key": jsonify(key)}
+        store = CheckpointStore(
+            self.cache_dir, kind=_CACHE_KIND, fingerprint=fingerprint
+        )
+        return store, payload_digest(fingerprint["key"])
+
+    def _load(self, store: CheckpointStore, name: str) -> Optional[np.ndarray]:
+        """The stored matrix, or None; the store has verified the envelope,
+        and a verified entry that is no finite (n, n) matrix is discarded."""
+        checkpoint = store.load(name)
+        if checkpoint is None:
+            return None
+        n = self.geometry.n_tsvs
+        try:
+            matrix = np.array(checkpoint.payload, dtype=np.float64)
+        except (TypeError, ValueError):
+            matrix = np.empty(0)
+        if matrix.shape != (n, n) or not np.isfinite(matrix).all():
+            logger.warning(
+                "evicting unusable cache entry %s: bad matrix (shape %s)",
+                store.path_for(name), matrix.shape,
+            )
+            store.discard(name)
+            return None
+        return matrix
 
     # -- extraction -----------------------------------------------------------
 
@@ -153,70 +181,17 @@ class CapacitanceExtractor:
         if cached is not None:
             return cached.copy()
 
-        path = self._disk_path(key)
-        if path is not None and path.exists():
-            matrix = self._load_cached(path)
-            if matrix is not None:
-                self._memory_cache[key] = matrix
-                return matrix.copy()
-
-        matrix = self._compute(probabilities)
+        entry = self._disk_entry(key)
+        matrix = None if entry is None else self._load(*entry)
+        if matrix is None:
+            matrix = self._compute(probabilities)
+            if entry is not None:
+                store, name = entry
+                # The chaos harness corrupts entries "right after they are
+                # written"; the next read must detect, evict and recompute.
+                fault_point("cache_corrupt", path=store.save(name, matrix))
         self._memory_cache[key] = matrix
-        if path is not None:
-            self._store_cached(path, matrix)
         return matrix.copy()
-
-    @staticmethod
-    def _matrix_digest(matrix: np.ndarray) -> str:
-        return hashlib.sha256(
-            np.ascontiguousarray(matrix, dtype=np.float64).tobytes()
-        ).hexdigest()
-
-    def _store_cached(self, path: Path, matrix: np.ndarray) -> None:
-        """Atomically write a checksummed, version-stamped cache bundle."""
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            matrix=np.asarray(matrix, dtype=np.float64),
-            version=np.int64(_CACHE_VERSION),
-            sha256=np.bytes_(self._matrix_digest(matrix).encode("ascii")),
-        )
-        atomic_write_bytes(path, buffer.getvalue())
-        # The chaos harness corrupts entries "right after they are
-        # written"; the next read must detect, evict and recompute.
-        fault_point("cache_corrupt", path=path)
-
-    def _evict(self, path: Path, reason: str) -> None:
-        logger.warning("evicting unusable cache entry %s: %s", path, reason)
-        path.unlink(missing_ok=True)
-
-    def _load_cached(self, path: Path) -> Optional[np.ndarray]:
-        """Read a cache entry; corrupt, stale or wrong-shaped bundles are
-        logged, evicted and recomputed rather than crashing the extraction."""
-        n = self.geometry.n_tsvs
-        try:
-            # Our own handle: np.load leaves the file it opened unclosed
-            # when it raises on a truncated bundle.
-            with open(path, "rb") as handle, np.load(handle) as bundle:
-                if "matrix" not in bundle or "sha256" not in bundle:
-                    self._evict(path, "missing bundle fields")
-                    return None
-                version = int(bundle["version"]) if "version" in bundle else 0
-                matrix = np.asarray(bundle["matrix"], dtype=np.float64)
-                digest = bytes(bundle["sha256"].item()).decode("ascii")
-        except Exception as exc:  # truncated npz raises BadZipFile/zlib.error
-            self._evict(path, f"unreadable ({exc})")
-            return None
-        if version != _CACHE_VERSION:
-            self._evict(path, f"version {version} != {_CACHE_VERSION}")
-            return None
-        if matrix.shape != (n, n) or not np.isfinite(matrix).all():
-            self._evict(path, f"bad matrix (shape {matrix.shape})")
-            return None
-        if digest != self._matrix_digest(matrix):
-            self._evict(path, "content checksum mismatch")
-            return None
-        return matrix
 
     def _compute(self, probabilities: np.ndarray) -> np.ndarray:
         if self.method == "fdm":

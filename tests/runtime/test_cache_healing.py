@@ -1,11 +1,13 @@
 """Self-healing extraction cache under injected corruption."""
 
 import gc
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.runtime.artifacts import OUTPUT_EPOCHS
 from repro.runtime.faults import inject_faults
 from repro.tsv.extractor import CapacitanceExtractor
 from repro.tsv.geometry import TSVArrayGeometry
@@ -29,7 +31,7 @@ def test_cache_corrupt_fault_heals_transparently(geom, tmp_path, caplog):
     reference = fdm_extractor(geom, tmp_path / "clean").extract()
     with inject_faults("cache_corrupt(1)"):
         fdm_extractor(geom, tmp_path / "hurt").extract()
-    entry = next((tmp_path / "hurt").glob("cap_*.npz"))
+    entry = next((tmp_path / "hurt").glob("*.ckpt.json"))
     assert entry.stat().st_size > 0  # truncated, not deleted
 
     with caplog.at_level("WARNING", logger="repro.tsv.extractor"):
@@ -42,7 +44,7 @@ def test_truncated_entry_leaks_no_file_handle(geom, tmp_path):
     """Evicting a truncated bundle closes the file it read: no
     ResourceWarning, so the path holds under ``-W error::ResourceWarning``."""
     reference = fdm_extractor(geom, tmp_path).extract()
-    entry = next(tmp_path.glob("cap_*.npz"))
+    entry = next(tmp_path.glob("*.ckpt.json"))
     entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
@@ -55,19 +57,31 @@ def test_truncated_entry_leaks_no_file_handle(geom, tmp_path):
 def test_tampered_matrix_rejected_by_checksum(geom, tmp_path):
     ex = fdm_extractor(geom, tmp_path)
     reference = ex.extract()
-    entry = next(tmp_path.glob("cap_*.npz"))
-    with np.load(entry) as bundle:
-        fields = {name: bundle[name] for name in bundle.files}
-    fields["matrix"] = fields["matrix"] * 1.01  # bit-rot, checksum now stale
-    np.savez(entry, **fields)
+    entry = next(tmp_path.glob("*.ckpt.json"))
+    document = json.loads(entry.read_text())
+    # Bit-rot: the payload moves, its checksum is now stale.
+    document["payload"] = (np.array(document["payload"]) * 1.01).tolist()
+    entry.write_text(json.dumps(document))
 
     healed = fdm_extractor(geom, tmp_path).extract()
     np.testing.assert_array_equal(healed, reference)
 
 
-def test_version_bump_invalidates_old_entries(geom, tmp_path, monkeypatch):
+def test_extraction_epoch_move_invalidates_old_entries(
+    geom, tmp_path, monkeypatch
+):
     ex = fdm_extractor(geom, tmp_path)
     reference = ex.extract()
-    monkeypatch.setattr("repro.tsv.extractor._CACHE_VERSION", 999)
+    (old_entry,) = tmp_path.glob("*.ckpt.json")
+    monkeypatch.setitem(OUTPUT_EPOCHS, "extraction", "moved-epoch")
+    solves = []
+    solve = CapacitanceExtractor._compute
+    monkeypatch.setattr(
+        CapacitanceExtractor, "_compute",
+        lambda self, p: solves.append(p) or solve(self, p),
+    )
     healed = fdm_extractor(geom, tmp_path).extract()
     np.testing.assert_array_equal(healed, reference)
+    assert len(solves) == 1  # the old epoch's entry was not read
+    assert len(list(tmp_path.glob("*.ckpt.json"))) == 2
+    assert old_entry.exists()  # left for its own epoch, not evicted

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.serve import FleetServer, LinkClient, OverloadedError, worker_for
-from repro.serve.fleet import _WorkerHandle
+from repro.serve.engine import EngineClosedError
+from repro.serve.fleet import _FleetLink, _JournalEntry, _WorkerHandle
 from repro.serve.server import BackgroundServer
 from repro.serve.session import LinkConfig
 
@@ -307,6 +308,34 @@ class TestDrain:
             self._drain(background, 0)
             with pytest.raises(RuntimeError):
                 self._drain(background, 1)
+
+
+class TestDropLink:
+    def test_forwarded_requests_fail_as_outcome_unknown(self, tmp_path):
+        """A forwarded request may have run on the worker before the
+        drop reached it; only a parked one surely never ran."""
+
+        async def scenario():
+            server = FleetServer(n_workers=1, runtime_dir=str(tmp_path))
+            server.workers = [_WorkerHandle(0, tmp_path / "w.sock")]
+            link = _FleetLink("lnk", CONFIG_DICT, 0)
+            server.links["lnk"] = link
+            loop = asyncio.get_running_loop()
+            forwarded, parked = (
+                _JournalEntry(seq, "encode", b"", loop.create_future(), None)
+                for seq in (1, 2)
+            )
+            link.journal.update({1: forwarded, 2: parked})
+            link.parked.append(parked)
+            await server._drop_link("lnk")
+            assert "lnk" not in server.links
+            return forwarded.future.exception(), parked.future.exception()
+
+        ran, never_ran = asyncio.run(scenario())
+        assert isinstance(ran, EngineClosedError)
+        assert str(ran) == "link dropped while its batch ran; outcome unknown"
+        assert isinstance(never_ran, EngineClosedError)
+        assert str(never_ran) == "link dropped before request ran"
 
 
 class TestDescribe:

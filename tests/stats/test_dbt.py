@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datagen.gaussian import gaussian_bit_stream
-from repro.stats.dbt import breakpoints, dbt_statistics, sign_flip_probability
+from repro.stats.dbt import (
+    breakpoints,
+    dbt_statistics,
+    normal_sf,
+    sign_flip_probability,
+)
 from repro.stats.switching import BitStatistics
 
 
@@ -26,6 +31,20 @@ class TestSignFlipProbability:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             sign_flip_probability(1.5)
+
+
+class TestNormalSf:
+    def test_matches_scipy_norm_sf(self):
+        # Both evaluate erfc at a rounded argument x/sqrt(2); in the upper
+        # tail erfc's relative condition number (x^2) scales that rounding,
+        # so the bound is a few ulp times max(1, x^2).
+        from scipy.stats import norm
+
+        ratios = np.linspace(-8.0, 8.0, 1601)  # mean / sigma
+        ours = np.array([normal_sf(float(x)) for x in ratios])
+        reference = norm.sf(ratios)
+        scale = np.finfo(float).eps * np.maximum(1.0, ratios * ratios)
+        assert np.all(np.abs(ours - reference) <= 4.0 * scale * reference)
 
 
 class TestBreakpoints:

@@ -1,11 +1,22 @@
 """Tests for the extraction front-end (method selection and caching)."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.runtime.artifacts import jsonify, payload_digest
 from repro.tsv.capmodel import LinearCapacitanceModel, epsilon_from_probabilities
 from repro.tsv.extractor import CACHE_ENV_VAR, CapacitanceExtractor, default_cache_dir
 from repro.tsv.geometry import TSVArrayGeometry
+
+
+def rewrite_payload(path, matrix):
+    """Replace a cache entry's matrix, checksum updated to match."""
+    document = json.loads(path.read_text())
+    document["payload"] = jsonify(matrix)
+    document["sha256"] = payload_digest(document["payload"])
+    path.write_text(json.dumps(document))
 
 
 @pytest.fixture()
@@ -61,22 +72,24 @@ class TestExtractor:
         assert len(ex._memory_cache) == 1
 
     def test_disk_cache_round_trip(self, geom, tmp_path):
+        # A warm store read returns the cold solve's matrix bit for bit.
         ex1 = CapacitanceExtractor(geom, method="fdm", resolution=0.5e-6,
                                    cache_dir=tmp_path)
         first = ex1.extract()
-        files = list(tmp_path.glob("cap_*.npz"))
+        files = list(tmp_path.glob("*.ckpt.json"))
         assert len(files) == 1
+        assert [path.name for path in tmp_path.iterdir()] == [files[0].name]
         ex2 = CapacitanceExtractor(geom, method="fdm", resolution=0.5e-6,
                                    cache_dir=tmp_path)
         second = ex2.extract()
-        np.testing.assert_allclose(first, second)
+        np.testing.assert_array_equal(first, second)
 
     def test_corrupt_disk_cache_recomputed(self, geom, tmp_path):
         ex = CapacitanceExtractor(geom, method="fdm", resolution=0.5e-6,
                                   cache_dir=tmp_path)
         reference = ex.extract()
-        cache_file = next(tmp_path.glob("cap_*.npz"))
-        cache_file.write_bytes(b"garbage, not a numpy file")
+        cache_file = next(tmp_path.glob("*.ckpt.json"))
+        cache_file.write_bytes(b"garbage, not a checkpoint")
         fresh = CapacitanceExtractor(geom, method="fdm", resolution=0.5e-6,
                                      cache_dir=tmp_path)
         np.testing.assert_allclose(fresh.extract(), reference)
@@ -85,9 +98,9 @@ class TestExtractor:
         ex = CapacitanceExtractor(geom, method="fdm", resolution=0.5e-6,
                                   cache_dir=tmp_path)
         reference = ex.extract()
-        cache_file = next(tmp_path.glob("cap_*.npz"))
+        cache_file = next(tmp_path.glob("*.ckpt.json"))
         bad = np.ones((2, 3))
-        ex._store_cached(cache_file, bad)  # valid bundle, wrong shape
+        rewrite_payload(cache_file, bad)  # valid envelope, wrong shape
         fresh = CapacitanceExtractor(geom, method="fdm", resolution=0.5e-6,
                                      cache_dir=tmp_path)
         np.testing.assert_allclose(fresh.extract(), reference)

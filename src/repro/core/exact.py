@@ -28,9 +28,9 @@ import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.assignment import SignedPermutation
+from repro.core.lsap import linear_sum_assignment
 from repro.core.power import normalized_power
 from repro.stats.switching import BitStatistics
 from repro.tsv.matrices import total_capacitance

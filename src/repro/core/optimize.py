@@ -21,7 +21,7 @@ Every search accepts its objective in two forms. A plain callable
 :class:`~repro.core.fastpower.CompiledPowerModel`) instead enables the
 fast path: ``O(n)`` delta-cost evaluation of the two local move types and
 batched enumeration, typically an order of magnitude faster (see
-``docs/performance.md`` and ``benchmarks/bench_optimize.py``).
+``docs/performance.md`` and perfbench's ``design`` workload).
 
 The annealer runs one batched-rejection Metropolis chain per restart:
 proposals are drawn in windows of ``_PROPOSAL_BATCH``, acceptance is the
@@ -44,7 +44,7 @@ matches), and a chain's decisions do not depend on which chains share
 its population: ``k`` lockstep chains return what ``k`` single-chain
 runs on the same generators return, and ``anneal(problems)`` what one
 :func:`simulated_annealing` call per problem returns;
-``benchmarks/bench_optimize.py`` gates on all three.
+``tests/core/test_population.py`` pins all three.
 
 Callers that need several searches write them as *search generators*
 (:data:`Searches`): a generator yields a batch of problems, receives

@@ -26,8 +26,7 @@ import traceback
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-import numpy as np
-
+from repro.runtime.artifacts import jsonify
 from repro.serve.engine import OverloadedError, ServeEngine, ServeEngineError
 from repro.serve.protocol import (
     ProtocolError,
@@ -51,23 +50,6 @@ OPS = (
 SESSION_CACHE_LIMIT = 1024
 #: Client sessions remembered per server (LRU beyond this).
 MAX_CLIENT_SESSIONS = 64
-
-
-def jsonable(value: Any) -> Any:
-    """Recursively convert NumPy scalars/arrays for JSON serialization."""
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    return value
 
 
 class _SessionCache:
@@ -499,7 +481,7 @@ class FrameServer:
             return
         response = {"id": header.get("id"), "ok": True}
         response.update(result)
-        await finish(jsonable(response))
+        await finish(jsonify(response))
 
     # -- backend hooks --------------------------------------------------------
 

@@ -4,6 +4,7 @@ lint pass, with the cyclic collector paused for the run."""
 import ast
 import gc
 import io
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -234,6 +235,28 @@ def test_deep_passes_leave_no_cycle_holding_the_program():
         alive = weakref.ref(program)
         del program
         assert alive() is None
+
+
+#: Wall-time budget of the concurrency and of the exactness pass over
+#: ``src/repro`` [s, best of two on one loaded program]: generous
+#: against their ~0.1 s cost so load noise does not trip it, tight
+#: enough to catch a quadratic blowup of their fixpoints (may-block
+#: closure, transitive acquisitions, memoized summaries).
+PASS_BUDGET_S = 2.0
+
+
+def test_thread_and_exactness_passes_stay_within_budget():
+    from repro.analysis.concurrency import analyze_threads
+    from repro.analysis.exactness import analyze_exactness
+
+    program = Program.load([REPO / "src" / "repro"])
+    for analyze in (analyze_threads, analyze_exactness):
+        times = []
+        for _ in range(2):
+            begin = time.perf_counter()
+            analyze(program)
+            times.append(time.perf_counter() - begin)
+        assert min(times) < PASS_BUDGET_S, (analyze.__name__, times)
 
 
 def test_run_lint_frees_the_program_before_the_collector_resumes(

@@ -80,7 +80,7 @@ def test_deep_lint_in_process_loads_no_numeric_stack():
     ["-m", "repro", "lint", "--deep"],
 ])
 def test_lint_entry_points_load_no_numeric_stack(entry):
-    result = _python("-X", "importtime", *entry, str(SMALL_FILE))
+    result = _python("-X", "importtime", *entry, str(SRC / "repro"))
     assert result.returncode == 0, result.stderr
     assert "# no findings" in result.stdout
     imported = _imported(result.stderr)
@@ -211,7 +211,8 @@ def test_serve_child_round_trip_loads_no_scipy(tmp_path):
             words = np.arange(20000, dtype=np.int64) % 256
             with LinkClient.connect(line.split()[-1], timeout=30) as client:
                 client.create_link("startup", LINK)
-                assert len(client.encode("startup", words)) == len(words)
+                coded = client.encode("startup", words)
+                assert np.array_equal(client.decode("startup", coded), words)
                 stats = client.stats("startup")
             assert stats["energy"]["coded"]["n_samples"] == len(words)
             process.send_signal(signal.SIGINT)

@@ -39,6 +39,7 @@ from repro.core.optimize import (
     simulated_annealing,
 )
 from repro.core.power import PowerModel
+from repro.datagen.gaussian import gaussian_bit_stream
 from repro.runtime.faults import inject_faults
 from repro.stats.switching import BitStatistics
 from repro.tsv.capmodel import LinearCapacitanceModel
@@ -82,15 +83,15 @@ def make_compiled(n, seed, mos_aware):
     return CompiledPowerModel.compile(make_model(n, seed, mos_aware))
 
 
-def assert_lockstep_equals_singles(cost, seed, k, **kwargs):
+def assert_lockstep_equals_singles(cost, seed, k, n=N, **kwargs):
     """Run ``k`` lockstep chains and ``k`` single-chain runs on the same
     spawned generators (unpolished, so each chain is compared as is)."""
     lockstep = simulated_annealing(
-        cost, N, rng=np.random.default_rng(seed), n_restarts=k,
+        cost, n, rng=np.random.default_rng(seed), n_restarts=k,
         polish=False, **kwargs,
     )
     singles = [
-        simulated_annealing(cost, N, rng=rng, polish=False, **kwargs)
+        simulated_annealing(cost, n, rng=rng, polish=False, **kwargs)
         for rng in np.random.default_rng(seed).spawn(k)
     ]
     best = min(singles, key=lambda result: result.power)
@@ -160,11 +161,17 @@ class TestPopulationState:
 class TestPopulationAnnealingIdentity:
     """n_restarts=k lockstep vs k single-chain runs: bit-equal per seed."""
 
-    @pytest.mark.parametrize("mos_aware", [False, True])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_identical_results(self, mos_aware, seed):
+    @pytest.mark.parametrize("seed, mos_aware, n, k", [
+        pytest.param(seed, mos_aware, N, 3, id=f"{seed}-{mos_aware}")
+        for seed in (0, 1, 2) for mos_aware in (False, True)
+    ] + [
+        # The 3x3 and 4x4 arrays at four chains, seed 2018.
+        pytest.param(2018, True, n, 4, id=f"2018-True-{n}x4")
+        for n in (9, 16)
+    ])
+    def test_identical_results(self, seed, mos_aware, n, k):
         assert_lockstep_equals_singles(
-            make_compiled(N, seed, mos_aware), seed, 3
+            make_compiled(n, seed, mos_aware), seed, k, n=n
         )
 
     def test_identical_under_constraints(self):
@@ -191,9 +198,14 @@ class TestPopulationAnnealingIdentity:
         compiled = assert_lockstep_equals_singles(
             CompiledPowerModel.compile(model), 3, 3
         )
-        assert scalar.power == compiled.power
-        assert scalar.assignment == compiled.assignment
-        assert scalar.evaluations == compiled.evaluations
+        assert same_result(scalar, compiled)
+        # And one polished chain on the 3x3 array under seed 2018.
+        model = make_model(9, 0, True)
+        scalar, compiled = (
+            simulated_annealing(cost, 9, rng=np.random.default_rng(2018))
+            for cost in (model.power, CompiledPowerModel.compile(model))
+        )
+        assert same_result(scalar, compiled)
 
     def test_population_checkpoints_resume(self, tmp_path):
         compiled = make_compiled(N, 2, True)
@@ -449,10 +461,25 @@ class TestAnnealProblems:
         )
 
     def test_batch_equals_separate_calls(self):
-        batched = anneal(mixed_problems())
+        def problems():
+            # Plus two 4x4 problems sharing a population: a strongly
+            # correlated stream with four restarts, and a fixed matrix
+            # without inversions.
+            bits = gaussian_bit_stream(300, 16, sigma=256.0, rho=0.9,
+                                       rng=np.random.default_rng(7))
+            correlated = PowerModel(BitStatistics.from_stream(bits),
+                                    make_model(16, 0, True).cap_model)
+            return mixed_problems() + [
+                SearchProblem(CompiledPowerModel.compile(correlated), 16,
+                              n_restarts=4, rng=np.random.default_rng(8)),
+                SearchProblem(make_compiled(16, 1, False), 16,
+                              with_inversions=False,
+                              rng=np.random.default_rng(9)),
+            ]
+
+        batched = anneal(problems())
         separate = [
-            simulated_annealing(**vars(problem))
-            for problem in mixed_problems()
+            simulated_annealing(**vars(problem)) for problem in problems()
         ]
         assert all(map(same_result, batched, separate))
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from repro.core import lsap
 from repro.routing.local import (
     LocalRoutingModel,
-    _linear_sum_assignment,
     permutation_statistic_moments,
 )
 from repro.tsv.geometry import TSVArrayGeometry
@@ -117,12 +117,12 @@ def _oracle_cases():
 
 
 class TestAssignmentPort:
-    """``_linear_sum_assignment`` picks SciPy's rows and columns exactly."""
+    """``lsap.linear_sum_assignment`` picks SciPy's rows and columns."""
 
     @staticmethod
     def assert_same(cost):
         rows, cols = linear_sum_assignment(cost)
-        our_rows, our_cols = _linear_sum_assignment(cost)
+        our_rows, our_cols = lsap.linear_sum_assignment(cost)
         assert our_rows.dtype == rows.dtype and our_cols.dtype == cols.dtype
         np.testing.assert_array_equal(our_rows, rows)
         np.testing.assert_array_equal(our_cols, cols)
@@ -154,6 +154,6 @@ class TestAssignmentPort:
         with pytest.raises(Exception) as theirs:
             linear_sum_assignment(cost)
         with pytest.raises(Exception) as ours:
-            _linear_sum_assignment(cost)
+            lsap.linear_sum_assignment(cost)
         assert type(ours.value) is type(theirs.value)
         assert str(ours.value) == str(theirs.value)

@@ -12,6 +12,7 @@ import socket
 import numpy as np
 import pytest
 
+from repro.runtime.artifacts import jsonify
 from repro.serve import LinkClient, OverloadedError
 from repro.serve.protocol import (
     error_header,
@@ -20,7 +21,7 @@ from repro.serve.protocol import (
     words_to_payload,
     write_frame_blocking,
 )
-from repro.serve.server import BackgroundServer, LinkServer, jsonable
+from repro.serve.server import BackgroundServer, LinkServer
 from repro.serve.session import LinkConfig, LinkSession
 
 CONFIG = LinkConfig.from_dict({
@@ -49,7 +50,7 @@ class SheddingServer(LinkServer):
                 and (self.always or request_id not in self.shed_ids)):
             self.shed_ids.add(request_id)
             loop = asyncio.get_running_loop()
-            return loop.create_task(reply(jsonable(error_header(
+            return loop.create_task(reply(jsonify(error_header(
                 request_id, OverloadedError("shed for test"),
                 retriable=True,
             ))))
@@ -104,7 +105,7 @@ class FenceViolatingServer(LinkServer):
             async def nack_late():
                 if task is not None:
                     await task  # target + 1 answered ok first
-                await reply(jsonable(error_header(
+                await reply(jsonify(error_header(
                     self.target, OverloadedError("late shed (test)"),
                     retriable=True,
                 )))
